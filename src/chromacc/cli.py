@@ -19,10 +19,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericalError
 from .datasets import (DataError, DatasetManifest, LabeledSample,
-                       leave_one_camera_out, load_dataset, write_manifest)
+                       leave_one_camera_out, load_dataset, read_raw_image,
+                       write_manifest)
 from .evaluation import (POLICIES, EvalSample, format_report, gray_world,
                          run_eval)
-from .floatmap import read_pfm, write_pfm
+from .floatmap import write_pfm
 from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
                          assemble_feature_stack)
 from .hypernet import (ArchitectureConfig, c5_infer, init_weights,
@@ -54,19 +55,6 @@ def _size(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected HxW, got {text!r}")
     return h, w
-
-
-def _read_image(path, mask_path=None) -> RawImage:
-    data = read_pfm(path)
-    if data.ndim != 3:
-        raise DataError(f"{path}: expected a 3-channel image")
-    mask = None
-    if mask_path is not None:
-        mask = read_pfm(mask_path)
-        if mask.ndim != 2 or mask.shape != data.shape[:2]:
-            raise DataError(f"{mask_path}: mask does not match image")
-        mask = mask > 0.5
-    return RawImage(np.clip(data, 0.0, None), mask)
 
 
 def _training_samples(manifest: DatasetManifest, hist: HistogramConfig):
@@ -101,8 +89,8 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     weights = load_weights(args.weights)
-    query = _read_image(args.query, args.mask)
-    additional = [_read_image(p) for p in args.additional]
+    query = read_raw_image(args.query, args.mask)
+    additional = [read_raw_image(p) for p in args.additional]
     ell, params, heat = c5_infer(query, additional, weights)
     print(" ".join(f"{v:.8f}" for v in ell))
     if args.heat:

@@ -22,7 +22,8 @@ from .histograms import RawImage, bilinear_resize
 from .sensor import CameraProfile, CaptureMeta
 
 __all__ = [
-    "DataError", "WORKING_RES", "LabeledSample", "DatasetManifest",
+    "DataError", "WORKING_RES", "LabeledSample", "read_raw_image",
+    "DatasetManifest",
     "load_dataset", "write_manifest", "leave_one_camera_out",
 ]
 
@@ -58,22 +59,33 @@ class LabeledSample:
     def load(self, working_res=WORKING_RES) -> RawImage:
         """Read the image (and mask), resized to working_res (rows, cols);
         None keeps the stored resolution."""
-        data = read_pfm(self.image_path)
-        if data.ndim != 3:
-            raise DataError(f"{self.image_path}: expected a 3-channel image")
-        mask = None
-        if self.mask_path is not None:
-            m = read_pfm(self.mask_path)
-            if m.ndim != 2 or m.shape != data.shape[:2]:
-                raise DataError(f"{self.mask_path}: mask shape {m.shape} "
-                                f"does not match image {data.shape[:2]}")
-            mask = m > 0.5
-        if working_res is not None and data.shape[:2] != tuple(working_res):
-            h, w = working_res
-            data = bilinear_resize(data, h, w)
-            if mask is not None:
-                mask = bilinear_resize(mask.astype(np.float64), h, w) >= 0.5
+        return read_raw_image(self.image_path, self.mask_path, working_res)
+
+
+def read_raw_image(image_path, mask_path=None, working_res=None) -> RawImage:
+    """Read a 3-channel float map and optional mask (> 0.5 is valid) as a
+    RawImage, resized to working_res (rows, cols) unless None.  Negative
+    values clip to zero; pixels RawImage rejects (non-finite) are a
+    DataError."""
+    data = read_pfm(image_path)
+    if data.ndim != 3:
+        raise DataError(f"{image_path}: expected a 3-channel image")
+    mask = None
+    if mask_path is not None:
+        m = read_pfm(mask_path)
+        if m.ndim != 2 or m.shape != data.shape[:2]:
+            raise DataError(f"{mask_path}: mask shape {m.shape} "
+                            f"does not match image {data.shape[:2]}")
+        mask = m > 0.5
+    if working_res is not None and data.shape[:2] != tuple(working_res):
+        h, w = working_res
+        data = bilinear_resize(data, h, w)
+        if mask is not None:
+            mask = bilinear_resize(mask.astype(np.float64), h, w) >= 0.5
+    try:
         return RawImage(np.clip(data, 0.0, None), mask)
+    except ValueError as exc:
+        raise DataError(f"{image_path}: {exc}") from None
 
 
 @dataclass

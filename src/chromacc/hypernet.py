@@ -21,13 +21,16 @@ weight file round-trip inference bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import _snap32
 from .ccc import CCCParams, estimate_illuminant
+from .floatmap import DataError
 from .histograms import ChromaHistogram, HistogramConfig, RawImage, \
     assemble_feature_stack
 
@@ -88,10 +91,6 @@ class ArchitectureConfig:
             plan.append((lvl, prev + ch[lvl - 1], cout))
             prev = cout
         return plan
-
-
-def _snap32(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float32).astype(np.float64)
 
 
 @dataclass
@@ -318,37 +317,57 @@ def save_weights(weights: NetworkWeights, path):
 
 
 def load_weights(path) -> NetworkWeights:
+    """Read a file written by save_weights.  Any malformed content -- bad
+    magic or version, a cut-off header or block, an unknown block kind,
+    trailing bytes, a missing or misshapen block -- raises DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
-        raise ValueError(f"not a weight file: bad magic {raw[:4]!r}")
-    version, n, m, depth, base, gain = struct.unpack_from("<IIIII?", raw, 4)
+        raise DataError(f"not a weight file: bad magic {raw[:4]!r}")
+    off = 4
+
+    def take(fmt):
+        nonlocal off
+        end = off + struct.calcsize(fmt)
+        if end > len(raw):
+            raise DataError(f"weight file truncated at byte {len(raw)}")
+        vals = struct.unpack_from(fmt, raw, off)
+        off = end
+        return vals
+
+    version, n, m, depth, base, gain = take("<IIIII?3x")
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported weight file version {version}")
-    arch = ArchitectureConfig(n=n, m=m, depth=depth, base_channels=base,
-                              emit_gain=gain)
-    off = 4 + struct.calcsize("<IIIII?3x")
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+        raise DataError(f"unsupported weight file version {version}")
+    try:
+        arch = ArchitectureConfig(n=n, m=m, depth=depth, base_channels=base,
+                                  emit_gain=gain)
+    except ValueError as exc:
+        raise DataError(f"bad architecture header: {exc}") from None
+    (count,) = take("<I")
     params: dict[str, np.ndarray] = {}
     stats: dict[str, np.ndarray] = {}
     for _ in range(count):
-        kind, nlen = struct.unpack_from("<BH", raw, off)
-        off += 3
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=size, offset=off) \
-                .astype(np.float64).reshape(shape)
-        off += 4 * size
+        kind, nlen = take("<BH")
+        if kind not in (0, 1):
+            raise DataError(f"unknown weight block kind {kind}")
+        try:
+            name = take(f"<{nlen}s")[0].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError("weight block name is not UTF-8") from None
+        (ndim,) = take("<B")
+        shape = take(f"<{ndim}I")
+        size = math.prod(shape)
+        data = take(f"<{4 * size}s")[0]
+        arr = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
         (params if kind == 0 else stats)[name] = arr
+    if off != len(raw):
+        raise DataError(f"{len(raw) - off} trailing bytes after the last "
+                        f"weight block")
     bn = {}
     for lvl in range(1, depth + 1):
         key = f"enc{lvl}"
+        if f"{key}.mean" not in stats or f"{key}.var" not in stats:
+            raise DataError(f"weight file is missing the {key} statistics")
         bn[key] = ad.BatchNormState(stats[f"{key}.mean"], stats[f"{key}.var"])
     w = NetworkWeights(arch, params, bn)
     _check_complete(w)
@@ -360,9 +379,14 @@ def _check_complete(weights: NetworkWeights):
     missing = set(ref.params) - set(weights.params)
     extra = set(weights.params) - set(ref.params)
     if missing or extra:
-        raise ValueError(f"weight blocks mismatch: missing {sorted(missing)}, "
-                         f"unexpected {sorted(extra)}")
+        raise DataError(f"weight blocks mismatch: missing {sorted(missing)}, "
+                        f"unexpected {sorted(extra)}")
     for k, v in ref.params.items():
         if weights.params[k].shape != v.shape:
-            raise ValueError(f"block {k} has shape {weights.params[k].shape}, "
-                             f"expected {v.shape}")
+            raise DataError(f"block {k} has shape {weights.params[k].shape}, "
+                            f"expected {v.shape}")
+    for k, s in ref.bn.items():
+        got = weights.bn[k]
+        if got.mean.shape != s.mean.shape or got.var.shape != s.var.shape:
+            raise DataError(f"statistics {k} have shapes {got.mean.shape} and "
+                            f"{got.var.shape}, expected {s.mean.shape}")

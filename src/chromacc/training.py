@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import hypernet as hn
+from .autodiff import _snap32
 from .histograms import HistogramConfig
 
 __all__ = [
@@ -170,10 +171,6 @@ def adam_step(weights: hn.NetworkWeights, grads: dict, state: AdamState,
         vhat = state.v[k] / c2
         step = lr * mhat / (np.sqrt(vhat) + cfg.eps)
         weights.params[k] = _snap32(w - step - lr * cfg.weight_decay * w)
-
-
-def _snap32(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float32).astype(np.float64)
 
 
 # ----- batch assembly -----------------------------------------------------------

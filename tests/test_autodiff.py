@@ -7,6 +7,8 @@ by agreement with the plain-numpy evaluator in chromacc.ccc.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chromacc import autodiff as ad
 from chromacc import ccc
@@ -48,6 +50,102 @@ def test_conv3x3_multichannel():
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     want = np.sum(w[2] * xp[1, :, 2:5, 3:6])
     assert out[1, 2, 2, 3] == pytest.approx(want, rel=1e-12)
+
+
+def _conv_reference(x, w, g, pad):
+    """Nested-loop 3x3 cross-correlation and its two VJPs for upstream g."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    b, _, hp, wp = xp.shape
+    cout = w.shape[0]
+    out = np.zeros((b, cout, hp - 2, wp - 2))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for n in range(b):
+        for o in range(cout):
+            for i in range(hp - 2):
+                for j in range(wp - 2):
+                    patch = xp[n, :, i:i + 3, j:j + 3]
+                    out[n, o, i, j] = np.sum(w[o] * patch)
+                    gxp[n, :, i:i + 3, j:j + 3] += g[n, o, i, j] * w[o]
+                    gw[o] += g[n, o, i, j] * patch
+    gx = gxp[:, :, pad:hp - pad, pad:wp - pad]
+    return out, gx, gw
+
+
+def _conv_with_vjps(x, w, g, pad):
+    node = ad.conv3x3(ad.param(x), ad.param(w), pad=pad)
+    (_, vjp_x), (_, vjp_w) = node.parents
+    return node.value, vjp_x(g), vjp_w(g)
+
+
+def _assert_rel(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(got - want).max() <= rel * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 3), cin=st.integers(1, 4), cout=st.integers(1, 3),
+       h=st.integers(1, 7), w=st.integers(1, 7), pad=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2**31 - 1))
+def test_conv3x3_matches_nested_loops(b, cin, cout, h, w, pad, seed):
+    assume(h + 2 * pad >= 3 and w + 2 * pad >= 3)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, cin, h, w))
+    wt = rng.normal(size=(cout, cin, 3, 3))
+    g = rng.normal(size=(b, cout, h + 2 * pad - 2, w + 2 * pad - 2))
+    got = _conv_with_vjps(x, wt, g, pad)
+    for a, r in zip(got, _conv_reference(x, wt, g, pad)):
+        _assert_rel(a, r)
+    assert got[0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv3x3_edge_shapes(pad):
+    rng = np.random.default_rng(6)
+    cases = [
+        (1, 1, 1, 5, 9),   # B = 1, Cin = 1: the smoothness-penalty path
+        (2, 3, 2, 7, 4),   # odd, non-square
+        (1, 5, 4, 3, 3),   # smallest valid map at pad 0
+    ]
+    for b, cin, cout, h, w in cases:
+        x = rng.normal(size=(b, cin, h, w))
+        wt = rng.normal(size=(cout, cin, 3, 3))
+        g = rng.normal(size=(b, cout, h + 2 * pad - 2, w + 2 * pad - 2))
+        for a, r in zip(_conv_with_vjps(x, wt, g, pad),
+                        _conv_reference(x, wt, g, pad)):
+            _assert_rel(a, r)
+    # non-contiguous input and weights: strided channels, transposed space
+    big = rng.normal(size=(2, 6, 5, 7))
+    x = big[:, ::2].transpose(0, 1, 3, 2)
+    wt = rng.normal(size=(3, 3, 3, 4))[..., :3].transpose(1, 0, 2, 3)
+    assert not x.flags.c_contiguous and not wt.flags.c_contiguous
+    g = rng.normal(size=(2, 3, 7 + 2 * pad - 2, 5 + 2 * pad - 2))
+    got = _conv_with_vjps(x, wt, g, pad)
+    for a, r in zip(got, _conv_reference(np.ascontiguousarray(x),
+                                         np.ascontiguousarray(wt), g, pad)):
+        _assert_rel(a, r)
+    assert got[0].flags.c_contiguous
+
+
+def test_conv3x3_chunked_batch_matches_per_sample():
+    # a batch spanning several patch-matrix chunks, ending in a partial one
+    rng = np.random.default_rng(7)
+    cin, cout, n = 3, 4, 24
+    step = ad._COLS_BYTES // (cin * 9 * n * n * 8)  # samples per chunk
+    b = 2 * step + 3
+    x = rng.normal(size=(b, cin, n, n))
+    wt = rng.normal(size=(cout, cin, 3, 3))
+    g = rng.normal(size=(b, cout, n, n))
+    value, gx, gw = _conv_with_vjps(x, wt, g, 1)
+    assert value.flags.c_contiguous
+    gw_sum = np.zeros_like(wt)
+    for i in range(b):
+        v1, gx1, gw1 = _conv_with_vjps(x[i:i + 1], wt, g[i:i + 1], 1)
+        _assert_rel(value[i:i + 1], v1)
+        _assert_rel(gx[i:i + 1], gx1)
+        gw_sum += gw1
+    _assert_rel(gw, gw_sum)
 
 
 def test_max_pool_forward_and_tie_routing():

@@ -193,3 +193,32 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def _corrupt_weights(raw: bytes, fault: str) -> bytes:
+    if fault == "cut-in-half":
+        return raw[:len(raw) // 2]
+    if fault == "cut-in-header":
+        return raw[:12]
+    return raw + b"\x00junk"  # trailing bytes after the last block
+
+
+@pytest.mark.parametrize("fault", ["cut-in-half", "cut-in-header",
+                                   "trailing-bytes"])
+def test_damaged_weight_file_exits_2(workspace, tmp_path, capsys, fault):
+    query = load_dataset(workspace["alpha"] / "manifest.jsonl") \
+        .samples[0].image_path
+    bad = tmp_path / "bad.ccw"
+    bad.write_bytes(_corrupt_weights(workspace["weights"].read_bytes(), fault))
+    assert main(["infer", str(bad), query]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err
+
+
+def test_non_finite_pixel_exits_2(workspace, tmp_path, capsys):
+    pixels = np.full((8, 8, 3), 0.5)
+    pixels[3, 4, 1] = np.nan
+    bad = tmp_path / "nan.pfm"
+    write_pfm(bad, pixels)
+    assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
+    assert "data error" in capsys.readouterr().err

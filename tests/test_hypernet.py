@@ -6,6 +6,7 @@ import pytest
 import chromacc.autodiff as ad
 import chromacc.ccc as ccc
 import chromacc.hypernet as hn
+from chromacc.floatmap import DataError
 from chromacc.histograms import HistogramConfig, RawImage, assemble_feature_stack
 
 
@@ -245,6 +246,22 @@ def test_load_rejects_missing_block(tmp_path):
     del w.params["filters.head.w"]
     hn.save_weights(w, path)
     with pytest.raises(ValueError, match="missing"):
+        hn.load_weights(path)
+
+
+def test_load_rejects_damaged_blocks(tmp_path):
+    path = tmp_path / "model.ccwf"
+    w = tiny_weights()
+    w.bn = {}
+    hn.save_weights(w, path)
+    with pytest.raises(DataError, match="statistics"):
+        hn.load_weights(path)
+
+    hn.save_weights(tiny_weights(), path)
+    raw = bytearray(path.read_bytes())
+    raw[4 + struct.calcsize("<IIIII?3x") + 4] = 7  # first block's kind
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="kind"):
         hn.load_weights(path)
 
 
