@@ -33,7 +33,9 @@ def _read_token(fh) -> bytes:
 
 
 def read_pfm(path) -> np.ndarray:
-    """Load a float map as float64, (H, W, 3) for 'PF' or (H, W) for 'Pf'."""
+    """Load a float map as float64, (H, W, 3) for 'PF' or (H, W) for 'Pf'.
+    A malformed header, a short payload or bytes after the last scanline
+    raise DataError."""
     with open(path, "rb") as fh:
         magic = _read_token(fh)
         if magic not in (b"PF", b"Pf"):
@@ -52,6 +54,8 @@ def read_pfm(path) -> np.ndarray:
         data = np.fromfile(fh, dtype=f"{endian}f4", count=count)
         if data.size != count:
             raise DataError(f"{path}: expected {count} floats, got {data.size}")
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after {count} floats")
     data = data.astype(np.float64) * abs(scale)
     data = data.reshape(height, width, channels)[::-1]  # bottom-up rows
     return data[..., 0] if channels == 1 else data

@@ -13,6 +13,13 @@ planes holding the bin-center u and v values.  Rows index v, columns index u.
 Bins partition [-bound, bound) half-open: bin i covers
 [lo + i*eps, lo + (i+1)*eps), so every in-range value lands in exactly one
 bin and u == +bound falls outside.
+
+A feature stack walks its image once.  The log of the positive components
+is taken a single time, and both histogram channels read it: the pixel
+channel as log g - log r and log g - log b, the gradient channel through
+forward differences of the same log.  Each channel keeps only its valid
+entries, in raster order, and fills the grid with one np.bincount, which
+adds the weights of a bin in that order.
 """
 
 from __future__ import annotations
@@ -162,25 +169,66 @@ def pixel_uv(pixels: np.ndarray):
     return u, v, valid
 
 
-def _gradient_triplets(image: RawImage):
-    """Per-pixel gradient-magnitude triplets of the log image.
+def _log_image(image: RawImage):
+    """The one log of an image that both histogram channels read.
 
-    For each channel the magnitude is |forward diff along x| + |forward diff
-    along y| of log(channel); entries touching masked-out, non-positive, or
-    border pixels come out NaN.  Returns (m, valid) with m of shape (H, W, 3).
+    Returns channel-first (3, H, W) pixels and their log, plus the (H, W)
+    mask ok of masked-in pixels whose three components are all positive.
+    Non-positive components get a placeholder log of 0; only ok pixels'
+    logs are ever used.
     """
-    px = image.pixels
-    ok = image.mask[..., None] & (px > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(ok, np.log(np.where(ok, px, 1.0)), np.nan)
-    h, w, _ = px.shape
-    dx = np.full_like(logp, np.nan)
-    dy = np.full_like(logp, np.nan)
-    dx[:, : w - 1, :] = np.abs(logp[:, 1:, :] - logp[:, : w - 1, :])
-    dy[: h - 1, :, :] = np.abs(logp[1:, :, :] - logp[: h - 1, :, :])
-    m = dx + dy
-    valid = np.all(np.isfinite(m), axis=-1) & np.all(m > 0, axis=-1)
-    return m, valid
+    px = np.ascontiguousarray(image.pixels.transpose(2, 0, 1))
+    pos = px > 0
+    logp = np.log(np.where(pos, px, 1.0))
+    ok = image.mask & pos[0] & pos[1] & pos[2]
+    return px, logp, ok
+
+
+def _pixel_entries(px, logp, ok):
+    """(u, v, weight) of every ok pixel in raster order, weighted by its
+    brightness ||c||_2."""
+    lr, lg, lb = (c[ok] for c in logp)
+    r, g, b = (c[ok] for c in px)
+    return lg - lr, lg - lb, np.sqrt(r * r + g * g + b * b)
+
+
+def _gradient_entries(logp, ok):
+    """(u, v, weight) of every valid gradient triplet in raster order.
+
+    Per channel the triplet holds |forward diff along x| + |forward diff
+    along y| of the log image.  It is valid when the pixel and both forward
+    neighbours are ok (so never on the last row or column) and all three
+    magnitudes are positive, and it is weighted by its magnitude ||m||_2.
+    """
+    base = logp[:, :-1, :-1]
+    mr, mg, mb = np.abs(logp[:, :-1, 1:] - base) + np.abs(logp[:, 1:, :-1] - base)
+    valid = (ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, :-1]
+             & (mr > 0) & (mg > 0) & (mb > 0))
+    mr, mg, mb = mr[valid], mg[valid], mb[valid]
+    lr, lg, lb = np.log(mr), np.log(mg), np.log(mb)
+    return lg - lr, lg - lb, np.sqrt(mr * mr + mg * mg + mb * mb)
+
+
+def _channel(entries, config: HistogramConfig, source: str,
+             normalize: bool = True) -> np.ndarray:
+    """Bin (u, v, weight) entries onto the (v, u) grid; entries outside the
+    half-open domain are dropped.  An empty pixel channel raises
+    EmptyHistogramError, an empty gradient channel stays all zero."""
+    u, v, w = entries
+    n = config.n
+    iu = config.bin_index(u)
+    iv = config.bin_index(v)
+    inside = (iu >= 0) & (iu < n) & (iv >= 0) & (iv < n)
+    hist = np.bincount(iv[inside] * n + iu[inside], w[inside],
+                       minlength=n * n).reshape(n, n)
+    total = hist.sum()
+    if total == 0.0:
+        if source == "pixels":
+            raise EmptyHistogramError("no valid pixels to histogram")
+        return hist
+    if normalize:
+        hist /= total
+    return hist
 
 
 def build_histogram(image: RawImage, config: HistogramConfig = HistogramConfig(),
@@ -193,54 +241,33 @@ def build_histogram(image: RawImage, config: HistogramConfig = HistogramConfig()
     its components are positive, and its (u, v) falls inside the half-open
     domain.
 
+    The image is walked once: its log is taken a single time, only the
+    valid entries are binned, and one np.bincount call fills the grid,
+    adding each bin's weights in raster order.
+
     Raises EmptyHistogramError when source == "pixels" and nothing survives;
     an image with no valid gradients (e.g. constant) yields an all-zero
     gradient histogram instead, since flatness is informative there.
     """
-    if source == "pixels":
-        vals = image.pixels.reshape(-1, 3)
-        keep = image.mask.reshape(-1)
-        u, v, pos = pixel_uv(vals)
-        valid = keep & pos
-        weights = np.linalg.norm(vals, axis=-1)
-    elif source == "gradients":
-        m, valid2d = _gradient_triplets(image)
-        valid = valid2d.reshape(-1)
-        # NaN/zero triplets are already invalid; placeholder 1s keep log quiet
-        safe = np.where(valid2d[..., None], m, 1.0).reshape(-1, 3)
-        u, v, _ = pixel_uv(safe)
-        weights = np.linalg.norm(safe, axis=-1)
-        vals = safe
-    else:
+    if source not in ("pixels", "gradients"):
         raise ValueError(f"unknown source {source!r}")
-
-    cfg = config
-    iu = np.zeros(len(vals), dtype=np.int64)
-    iv = np.zeros(len(vals), dtype=np.int64)
-    iu[valid] = cfg.bin_index(u[valid])
-    iv[valid] = cfg.bin_index(v[valid])
-    inside = valid & (iu >= 0) & (iu < cfg.n) & (iv >= 0) & (iv < cfg.n)
-
-    hist = np.zeros((cfg.n, cfg.n), dtype=np.float64)
-    np.add.at(hist, (iv[inside], iu[inside]), weights[inside])
-    total = hist.sum()
-    if total == 0.0:
-        if source == "pixels":
-            raise EmptyHistogramError("no valid pixels to histogram")
-        return hist
-    if normalize:
-        hist /= total
-    return hist
+    px, logp, ok = _log_image(image)
+    entries = (_pixel_entries(px, logp, ok) if source == "pixels"
+               else _gradient_entries(logp, ok))
+    return _channel(entries, config, source, normalize)
 
 
 def assemble_feature_stack(image: RawImage,
                            config: HistogramConfig = HistogramConfig()
                            ) -> ChromaHistogram:
-    """Full 4-channel network input for one image."""
+    """Full 4-channel network input for one image.  Both histogram channels
+    read one log of the image; raises EmptyHistogramError as build_histogram
+    does for the pixel channel."""
     n = config.n
+    px, logp, ok = _log_image(image)
     data = np.zeros((n, n, 4), dtype=np.float64)
-    data[:, :, 0] = build_histogram(image, config, source="pixels")
-    data[:, :, 1] = build_histogram(image, config, source="gradients")
+    data[:, :, 0] = _channel(_pixel_entries(px, logp, ok), config, "pixels")
+    data[:, :, 1] = _channel(_gradient_entries(logp, ok), config, "gradients")
     c = config.centers()
     data[:, :, 2] = c[None, :]   # u varies along columns
     data[:, :, 3] = c[:, None]   # v varies along rows

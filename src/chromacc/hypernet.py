@@ -31,8 +31,8 @@ from . import autodiff as ad
 from .autodiff import _snap32
 from .ccc import CCCParams, estimate_illuminant
 from .floatmap import DataError
-from .histograms import ChromaHistogram, HistogramConfig, RawImage, \
-    assemble_feature_stack
+from .histograms import (ChromaHistogram, EmptyHistogramError,
+                         HistogramConfig, RawImage, assemble_feature_stack)
 
 __all__ = [
     "ArchitectureConfig", "NetworkWeights", "init_weights", "param_count",
@@ -282,13 +282,23 @@ def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
 def c5_infer(query: RawImage, additional, weights: NetworkWeights,
              config: HistogramConfig = None):
     """Estimate the illuminant of a query image given unlabeled additional
-    images from the same camera.  Fewer than m-1 additional images are
-    replicated cyclically; with none, the query stands in for them."""
+    images from the same camera.
+
+    An additional image with no pixel inside the log-chroma domain is
+    dropped.  Fewer than m-1 remaining additional images are replicated
+    cyclically; with none, the query stands in for them.  An empty query
+    raises EmptyHistogramError.
+    """
     arch = weights.arch
     if config is None:
         config = HistogramConfig(n=arch.n)
     qs = assemble_feature_stack(query, config)
-    extra = [assemble_feature_stack(img, config) for img in additional]
+    extra = []
+    for img in additional:
+        try:
+            extra.append(assemble_feature_stack(img, config))
+        except EmptyHistogramError:
+            continue
     return infer_from_stacks(qs, extra, weights, config)
 
 

@@ -94,6 +94,20 @@ def test_infer_without_additional_images(workspace, capsys):
     assert len(capsys.readouterr().out.split()) == 3
 
 
+def test_infer_drops_empty_additional_image(workspace, tmp_path, capsys):
+    manifest = load_dataset(workspace["alpha"] / "manifest.jsonl")
+    query, good = (s.image_path for s in manifest.samples[:2])
+    dark = tmp_path / "dark.pfm"
+    write_pfm(dark, np.zeros((12, 16, 3)))
+    weights = str(workspace["weights"])
+    assert main(["infer", weights, query, good]) == 0
+    alone = capsys.readouterr().out
+    assert main(["infer", weights, query, good, str(dark)]) == 0
+    assert capsys.readouterr().out == alone
+    assert main(["infer", weights, str(dark), good]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_augment_builds_target_space_dataset(workspace):
     out_dir = workspace["root"] / "aug"
     assert main(["augment", str(workspace["alpha"] / "manifest.jsonl"),
@@ -222,3 +236,12 @@ def test_non_finite_pixel_exits_2(workspace, tmp_path, capsys):
     write_pfm(bad, pixels)
     assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_trailing_bytes_in_image_exit_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "long.pfm"
+    write_pfm(bad, np.full((8, 8, 3), 0.5))
+    bad.write_bytes(bad.read_bytes() + b"garbage")
+    assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err

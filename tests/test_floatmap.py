@@ -70,6 +70,8 @@ def test_single_space_header_accepted(tmp_path):
     b"PF\n0 2\n-1.0\n",                   # zero width
     b"PF\n2 2\n0.0\n" + b"\x00" * 48,     # zero scale
     b"PF\n2 2\n-1.0\n" + b"\x00" * 20,    # payload shorter than 12 floats
+    pytest.param(b"PF\n2 2\n-1.0\n" + b"\x00" * 48 + b"garbage",
+                 id="trailing-bytes"),    # 7 bytes after the 12 floats
 ])
 def test_malformed_files_rejected(tmp_path, blob):
     path = tmp_path / "bad.pfm"

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromacc.histograms import (
@@ -21,6 +21,8 @@ from chromacc.histograms import (
     build_histogram,
     compute_uv,
 )
+from chromacc.datasets import WORKING_RES
+from chromacc.synthbench import capture, render_scene
 
 CFG = HistogramConfig()  # n=64, bound=2.85
 
@@ -231,3 +233,124 @@ def test_raw_image_validation():
         RawImage(np.full((4, 4, 3), np.nan))
     with pytest.raises(ValueError):
         RawImage(np.ones((4, 4, 3)), np.ones((2, 2), dtype=bool))
+
+
+# ----- bit-identity against the reference implementation -----
+#
+# The two functions below are the three-pass implementation that the
+# single-pass one replaced, frozen here as the oracle: the log of the image
+# taken per channel, length-3 reductions with np.all and np.linalg.norm, and
+# a np.add.at scatter into the grid.  The single-pass stack must reproduce
+# it bit for bit, including which images raise EmptyHistogramError.
+
+def _reference_histogram(image, config, source="pixels", normalize=True):
+    def uv(pixels):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.where(pixels > 0,
+                            np.log(np.where(pixels > 0, pixels, 1.0)), np.nan)
+        return (logp[..., 1] - logp[..., 0], logp[..., 1] - logp[..., 2],
+                np.all(pixels > 0, axis=-1))
+
+    if source == "pixels":
+        vals = image.pixels.reshape(-1, 3)
+        u, v, pos = uv(vals)
+        valid = image.mask.reshape(-1) & pos
+    else:
+        px = image.pixels
+        ok = image.mask[..., None] & (px > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.where(ok, np.log(np.where(ok, px, 1.0)), np.nan)
+        h, w, _ = px.shape
+        dx = np.full_like(logp, np.nan)
+        dy = np.full_like(logp, np.nan)
+        dx[:, : w - 1, :] = np.abs(logp[:, 1:, :] - logp[:, : w - 1, :])
+        dy[: h - 1, :, :] = np.abs(logp[1:, :, :] - logp[: h - 1, :, :])
+        m = dx + dy
+        valid2d = np.all(np.isfinite(m), axis=-1) & np.all(m > 0, axis=-1)
+        valid = valid2d.reshape(-1)
+        vals = np.where(valid2d[..., None], m, 1.0).reshape(-1, 3)
+        u, v, _ = uv(vals)
+    weights = np.linalg.norm(vals, axis=-1)
+
+    iu = np.zeros(len(vals), dtype=np.int64)
+    iv = np.zeros(len(vals), dtype=np.int64)
+    iu[valid] = config.bin_index(u[valid])
+    iv[valid] = config.bin_index(v[valid])
+    n = config.n
+    inside = valid & (iu >= 0) & (iu < n) & (iv >= 0) & (iv < n)
+    hist = np.zeros((n, n), dtype=np.float64)
+    np.add.at(hist, (iv[inside], iu[inside]), weights[inside])
+    total = hist.sum()
+    if total == 0.0:
+        if source == "pixels":
+            raise EmptyHistogramError("no valid pixels to histogram")
+        return hist
+    if normalize:
+        hist /= total
+    return hist
+
+
+def _reference_stack(image, config):
+    n = config.n
+    data = np.zeros((n, n, 4), dtype=np.float64)
+    data[:, :, 0] = _reference_histogram(image, config, "pixels")
+    data[:, :, 1] = _reference_histogram(image, config, "gradients")
+    c = config.centers()
+    data[:, :, 2] = c[None, :]
+    data[:, :, 3] = c[:, None]
+    return data
+
+
+def _assert_matches_reference(img, cfg):
+    try:
+        want = _reference_stack(img, cfg)
+    except EmptyHistogramError:
+        with pytest.raises(EmptyHistogramError):
+            assemble_feature_stack(img, cfg)
+        with pytest.raises(EmptyHistogramError):
+            build_histogram(img, cfg, source="pixels")
+        assert np.array_equal(build_histogram(img, cfg, source="gradients"),
+                              _reference_histogram(img, cfg, "gradients"))
+        return
+    assert np.array_equal(assemble_feature_stack(img, cfg).data, want)
+    for source in ("pixels", "gradients"):
+        for normalize in (True, False):
+            assert np.array_equal(
+                build_histogram(img, cfg, source, normalize),
+                _reference_histogram(img, cfg, source, normalize))
+
+
+@given(h=st.integers(1, 12), w=st.integers(1, 12), n=st.sampled_from([2, 32, 64]),
+       spread=st.floats(0.0, 5.0), zero_frac=st.sampled_from([0.0, 0.05, 0.5]),
+       masked_frac=st.sampled_from([0.0, 0.3, 1.0]), constant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+@example(h=1, w=1, n=64, spread=0.5, zero_frac=0.0, masked_frac=0.0,
+         constant=False, seed=0)
+@example(h=1, w=9, n=32, spread=1.0, zero_frac=0.0, masked_frac=0.0,
+         constant=False, seed=1)
+@example(h=9, w=1, n=2, spread=1.0, zero_frac=0.0, masked_frac=0.0,
+         constant=False, seed=2)
+@example(h=6, w=7, n=64, spread=1.0, zero_frac=0.0, masked_frac=0.0,
+         constant=True, seed=3)
+@example(h=8, w=8, n=64, spread=5.0, zero_frac=0.05, masked_frac=0.3,
+         constant=False, seed=4)
+def test_feature_stack_matches_reference(h, w, n, spread, zero_frac,
+                                         masked_frac, constant, seed):
+    # spread sets the log-range of the components, so large values push
+    # pixels and gradients out of the domain; zero components, masks and
+    # flat images knock out pixels and every gradient next to them
+    rng = np.random.default_rng(seed)
+    shape = (1, 1, 3) if constant else (h, w, 3)
+    px = np.broadcast_to(np.exp(rng.uniform(-spread, spread, shape)),
+                         (h, w, 3)).copy()
+    px[rng.random((h, w, 3)) < zero_frac] = 0.0
+    mask = rng.random((h, w)) >= masked_frac
+    _assert_matches_reference(RawImage(px, mask), HistogramConfig(n=n))
+
+
+def test_rendered_capture_matches_reference():
+    rng = np.random.default_rng(21)
+    img = capture(render_scene(rng, WORKING_RES), (0.3, 0.6, 0.45))
+    img.mask[100:140, 200:260] = False
+    _assert_matches_reference(img, CFG)

@@ -7,7 +7,8 @@ import chromacc.autodiff as ad
 import chromacc.ccc as ccc
 import chromacc.hypernet as hn
 from chromacc.floatmap import DataError
-from chromacc.histograms import HistogramConfig, RawImage, assemble_feature_stack
+from chromacc.histograms import (EmptyHistogramError, HistogramConfig, RawImage,
+                                 assemble_feature_stack)
 
 
 def tiny_arch(**kw):
@@ -170,6 +171,25 @@ def test_c5_infer_on_images():
     cfg = HistogramConfig(n=16)
     stack = assemble_feature_stack(query, cfg)
     assert np.allclose(heat, ccc.evaluate_ccc(stack, params), atol=1e-12)
+
+
+def test_c5_infer_drops_empty_additional_images():
+    # an additional image with no valid pixel is dropped, so the good one is
+    # replicated into both free branches exactly as if it came alone
+    rng = np.random.default_rng(12)
+    w = tiny_weights(13)
+    query, good = random_image(rng), random_image(rng)
+    empty = RawImage(np.zeros((12, 15, 3)))
+    with_empty = hn.c5_infer(query, [good, empty], w)
+    alone = hn.c5_infer(query, [good], w)
+    for a, b in zip((with_empty[0], with_empty[1].bias, with_empty[2]),
+                    (alone[0], alone[1].bias, alone[2])):
+        assert np.array_equal(a, b)
+    # with every additional image empty, the query stands in for them
+    only = hn.c5_infer(query, [empty, empty], w)
+    assert np.array_equal(only[0], hn.c5_infer(query, [], w)[0])
+    with pytest.raises(EmptyHistogramError):
+        hn.c5_infer(empty, [good], w)
 
 
 def test_encode_decode_helpers():
