@@ -20,7 +20,7 @@ __all__ = [
     "Node", "MissingGradientError", "NumericalError", "backward", "const",
     "param",
     "add", "sub", "mul", "scale", "reshape", "concat_channels",
-    "select_branch", "branch_max", "conv3x3", "leaky_relu",
+    "select_branch", "take_rows", "branch_max", "conv3x3", "leaky_relu",
     "BatchNormState", "batch_norm", "instance_norm", "max_pool2",
     "upsample2", "softmax2d", "expectation2d", "ccc_conv", "uv_to_rgb",
     "dot", "l2norm", "arccos", "sum_per_sample", "sum_all", "mean_all",
@@ -163,6 +163,35 @@ def select_branch(a: Node, m: int, index: int = 0) -> Node:
     def vjp(g):
         out = np.zeros_like(a.value)
         out[index::m] = g
+        return out
+
+    return Node(value, [(a, vjp)])
+
+
+def take_rows(a: Node, idx) -> Node:
+    """Rows a[idx] of (R, ...) for an array idx of row numbers in [0, R); a
+    row may be taken any number of times, or not at all.
+
+    The VJP sums the gradients of a repeated row in a fixed order: idx is
+    argsorted stably once, and np.add.reduceat sums each run of equal
+    indices in the order the rows were taken.  Rows taken at an even
+    forward stride (all rows, or one branch of each group) are a view, not
+    a copy.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if len(idx) and step > 0 and (np.diff(idx) == step).all():
+        value = a.value[idx[0]:idx[-1] + 1:step]
+    else:
+        value = a.value[idx]
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    rows = ranked[starts]
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[rows] = np.add.reduceat(g[order], starts, axis=0)
         return out
 
     return Node(value, [(a, vjp)])
@@ -312,31 +341,46 @@ class BatchNormState:
 
 
 def batch_norm(x: Node, gamma: Node, beta: Node, training: bool,
-               state: BatchNormState = None) -> Node:
+               state: BatchNormState = None, counts=None) -> Node:
     """Per-channel normalization of (B, C, H, W) over batch and space.
 
     Training uses batch statistics (and pushes them into state when given);
     inference normalizes with the running averages.
+
+    counts (B,) makes row b stand for counts[b] identical rows of the batch
+    the statistics are taken over; None counts every row once.  With
+    take_rows(y, idx) downstream and counts = bincount(idx), value, state
+    and gradients are those of batch_norm over x.value[idx], up to the order
+    of the sums.  Only training reads counts: inference treats each row
+    alone.
     """
     xv = x.value
     axes = (0, 2, 3)
     gm = gamma.value[None, :, None, None]
     if training:
-        mu = xv.mean(axis=axes)
-        var = xv.var(axis=axes)
-        if state is not None:
-            state.update(mu, var)
-        sigma = np.sqrt(var + BN_EPS)
-        xhat = (xv - mu[None, :, None, None]) / sigma[None, :, None, None]
-        value = gm * xhat + beta.value[None, :, None, None]
+        c = np.ones(xv.shape[0]) if counts is None else \
+            np.asarray(counts, dtype=np.float64)
+        total = c.sum() * xv.shape[2] * xv.shape[3]
 
+        def mean(a, weights=c):  # over batch and space, per channel
+            return (weights @ a.sum(axis=(2, 3)) / total)[None, :, None, None]
+
+        mu = mean(xv)
+        centered = xv - mu
+        var = mean(centered * centered)
+        if state is not None:
+            state.update(mu[0, :, 0, 0], var[0, :, 0, 0])
+        sigma = np.sqrt(var + BN_EPS)
+        xhat = centered / sigma
+        value = gm * xhat + beta.value[None, :, None, None]
+        ones, cw = np.ones_like(c), c[:, None, None, None]
+
+        # g[b] already sums the gradients of row b's copies, so the means
+        # weight it once; each copy subtracts them once
         def vjp_x(g):
             dxhat = g * gm
-            mean_d = dxhat.mean(axis=axes)
-            mean_dx = (dxhat * xhat).mean(axis=axes)
-            return (dxhat - mean_d[None, :, None, None]
-                    - xhat * mean_dx[None, :, None, None]) \
-                / sigma[None, :, None, None]
+            return (dxhat - cw * (mean(dxhat, ones)
+                                  + xhat * mean(dxhat * xhat, ones))) / sigma
     else:
         if state is None:
             raise ValueError("inference batch_norm needs running statistics")

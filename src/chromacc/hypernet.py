@@ -12,7 +12,10 @@ replaced by the elementwise max across branches, so branch order cannot
 matter; the query branch's pre-pool activations feed the decoder skip
 connections.  Since the first cross-branch max makes every branch identical,
 deeper levels run once on the fused trunk -- algebraically the same network,
-minus redundant work.
+minus redundant work.  For the same reason level 1 runs once per distinct
+branch image of a batch, however many branches it fills; in training its
+batch-norm statistics weight each distinct image by that count, so they
+stay the statistics over every branch.
 
 Parameters live in float64 but are kept float32-representable at all times
 (initialization and every optimizer step snap them), which lets the 32-bit
@@ -36,7 +39,7 @@ from .histograms import (ChromaHistogram, EmptyHistogramError,
 
 __all__ = [
     "ArchitectureConfig", "NetworkWeights", "init_weights", "param_count",
-    "forward_maps", "encode", "decode", "c5_infer", "infer_from_stacks",
+    "forward_maps", "c5_infer", "infer_from_stacks",
     "save_weights", "load_weights",
 ]
 
@@ -158,6 +161,12 @@ def forward_maps(stacks: np.ndarray, weights: NetworkWeights, training: bool,
     gain (B, 1, n, n) when emitted.  Passing param_nodes reuses existing leaf
     Nodes so callers (optimizer, gradient checks) keep stable identities
     across rebuilt graphs.
+
+    Level 1 of the encoder runs once per distinct branch image of the batch
+    (byte-equal rows share one run) and take_rows hands each branch its
+    image's activations.  In training, level-1 batch norm counts each
+    distinct image once per branch it fills, so its statistics are those of
+    all B*m branches.
     """
     arch = weights.arch
     b, m = stacks.shape[:2]
@@ -167,32 +176,62 @@ def forward_maps(stacks: np.ndarray, weights: NetworkWeights, training: bool,
         raise ValueError(f"bad stack shape {stacks.shape}")
     pnodes = param_nodes if param_nodes is not None else \
         {k: ad.param(v) for k, v in weights.params.items()}
-    x = ad.const(np.ascontiguousarray(
-        stacks.reshape(b * m, IN_CHANNELS, arch.n, arch.n)))
+    rows = np.ascontiguousarray(stacks, dtype=np.float64) \
+        .reshape(b * m, IN_CHANNELS, arch.n, arch.n)
+    first, inv = _distinct_rows(rows)
+    distinct = rows if len(first) == len(rows) else rows[first]
 
-    skips, trunk = _encode_nodes(x, pnodes, weights, training, m)
+    skips, trunk = _encode_nodes(ad.const(distinct), inv, pnodes, weights,
+                                 training, m)
     maps = {}
     for name in arch.decoders:
         maps[name] = _decode_nodes(skips, trunk, pnodes, arch, name)
     return maps, pnodes
 
 
-def _encode_nodes(x, pnodes, weights, training, m):
-    arch = weights.arch
-    skips = []
-    z = x
-    for lvl in range(1, arch.depth + 1):
-        t = ad.conv3x3(z, pnodes[f"enc{lvl}.conv.w"])
-        t = ad.leaky_relu(t)
-        t = ad.batch_norm(t, pnodes[f"enc{lvl}.bn.gamma"],
-                          pnodes[f"enc{lvl}.bn.beta"], training,
-                          weights.bn[f"enc{lvl}"])
-        if lvl == 1:
-            skips.append(ad.select_branch(t, m, 0))
-            z = ad.branch_max(ad.max_pool2(t), m)
+def _distinct_rows(rows: np.ndarray):
+    """(first, inv) for the rows of a C-contiguous float64 array:
+    rows[first] are its byte-distinct rows in order of first occurrence, and
+    rows[first[inv]] equals rows byte for byte.
+
+    A row's key is the wrapping sum of its 64-bit words, which any one-word
+    change alters; rows with equal keys are compared in full, so a key
+    collision costs one comparison and never merges two different rows.
+    """
+    words = rows.reshape(len(rows), -1).view(np.uint64)
+    slots: dict[int, list] = {}
+    first: list[int] = []
+    inv = np.empty(len(rows), dtype=np.intp)
+    for i, key in enumerate(words.sum(axis=1).tolist()):
+        same = slots.setdefault(key, [])
+        for s in same:
+            if np.array_equal(words[first[s]], words[i]):
+                inv[i] = s
+                break
         else:
-            skips.append(t)
-            z = ad.max_pool2(t)
+            inv[i] = len(first)
+            same.append(len(first))
+            first.append(i)
+    return np.array(first, dtype=np.intp), inv
+
+
+def _encode_nodes(x, inv, pnodes, weights, training, m):
+    """Encoder over the distinct level-1 rows x, where branch row k of the
+    batch is x[inv[k]].  Returns the query's per-level pre-pool activations
+    and the fused trunk bottleneck."""
+    def block(z, lvl, counts=None):
+        t = ad.leaky_relu(ad.conv3x3(z, pnodes[f"enc{lvl}.conv.w"]))
+        return ad.batch_norm(t, pnodes[f"enc{lvl}.bn.gamma"],
+                             pnodes[f"enc{lvl}.bn.beta"], training,
+                             weights.bn[f"enc{lvl}"], counts)
+
+    t = block(x, 1, np.bincount(inv, minlength=len(x.value)))
+    skips = [ad.take_rows(t, inv[0::m])]
+    z = ad.branch_max(ad.take_rows(ad.max_pool2(t), inv), m)
+    for lvl in range(2, weights.arch.depth + 1):
+        t = block(z, lvl)
+        skips.append(t)
+        z = ad.max_pool2(t)
     return skips, z
 
 
@@ -209,26 +248,6 @@ def _decode_nodes(skips, trunk, pnodes, arch, name):
 
 
 # ----- public single-image ops --------------------------------------------------
-
-def encode(stacks, weights: NetworkWeights, training: bool = False):
-    """Encode one image's branch set: list of <= m ChromaHistograms or
-    channel-first arrays, query first.  Returns (skips, bottleneck) as plain
-    arrays: the query branch's per-level pre-pool activations and the fused
-    trunk bottleneck."""
-    batch = _stack_batch(stacks, weights.arch)
-    pnodes = {k: ad.param(v) for k, v in weights.params.items()}
-    x = ad.const(batch.reshape(weights.arch.m, IN_CHANNELS,
-                               weights.arch.n, weights.arch.n))
-    skips, trunk = _encode_nodes(x, pnodes, weights, training, weights.arch.m)
-    return [s.value[0] for s in skips], trunk.value[0]
-
-
-def decode(stacks, weights: NetworkWeights) -> CCCParams:
-    """Emit localization parameters for one image's branch set."""
-    batch = _stack_batch(stacks, weights.arch)
-    maps, _ = forward_maps(batch[None], weights, training=False)
-    return _params_from_maps(maps, weights.arch, 0)
-
 
 def _params_from_maps(maps, arch, index) -> CCCParams:
     gain = maps["gain"].value[index, 0] if arch.emit_gain else None
@@ -329,7 +348,8 @@ def save_weights(weights: NetworkWeights, path):
 def load_weights(path) -> NetworkWeights:
     """Read a file written by save_weights.  Any malformed content -- bad
     magic or version, a cut-off header or block, an unknown block kind,
-    trailing bytes, a missing or misshapen block -- raises DataError."""
+    trailing bytes, a missing or misshapen block, a non-finite value, a
+    negative batch-norm variance -- raises DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -369,6 +389,8 @@ def load_weights(path) -> NetworkWeights:
         size = math.prod(shape)
         data = take(f"<{4 * size}s")[0]
         arr = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"weight block {name} holds a non-finite value")
         (params if kind == 0 else stats)[name] = arr
     if off != len(raw):
         raise DataError(f"{len(raw) - off} trailing bytes after the last "
@@ -378,6 +400,8 @@ def load_weights(path) -> NetworkWeights:
         key = f"enc{lvl}"
         if f"{key}.mean" not in stats or f"{key}.var" not in stats:
             raise DataError(f"weight file is missing the {key} statistics")
+        if (stats[f"{key}.var"] < 0).any():
+            raise DataError(f"weight file holds a negative {key} variance")
         bn[key] = ad.BatchNormState(stats[f"{key}.mean"], stats[f"{key}.var"])
     w = NetworkWeights(arch, params, bn)
     _check_complete(w)

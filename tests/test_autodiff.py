@@ -328,6 +328,48 @@ def test_grad_concat_select_branchmax():
     check_proj(lambda: ad.branch_max(x, m=3), {"x": x}, rng)
 
 
+def test_take_rows_value_and_summed_gradient():
+    rng = np.random.default_rng(15)
+    x = ad.param(rng.normal(size=(4, 2, 3)))
+    idx = [2, 0, 2, 2, 1]  # row 2 thrice, row 3 never
+    node = ad.take_rows(x, idx)
+    np.testing.assert_array_equal(node.value, x.value[idx])
+    g = rng.normal(size=node.value.shape)
+    got = node.parents[0][1](g)
+    want = np.zeros_like(x.value)
+    np.add.at(want, idx, g)
+    np.testing.assert_allclose(got, want, rtol=1e-15)
+    assert not got[3].any()
+    assert ad.take_rows(x, []).parents[0][1](np.zeros((0, 2, 3))).shape \
+        == (4, 2, 3)
+    for even in ([1, 3], [0, 1, 2, 3], [2]):  # strided picks are views
+        picked = ad.take_rows(x, even).value
+        assert np.shares_memory(picked, x.value)
+        np.testing.assert_array_equal(picked, x.value[even])
+
+
+def test_grad_take_rows():
+    rng = np.random.default_rng(16)
+    x = ad.param(rng.normal(size=(4, 2, 3, 3)))
+    for idx in ([2, 0, 2, 2, 1], [3, 3], [1, 0, 2, 3], [0, 2]):
+        check_proj(lambda: ad.take_rows(x, idx), {"x": x}, rng)
+
+
+def test_batch_norm_counts_match_repeated_rows():
+    rng = np.random.default_rng(17)
+    x = rng.normal(loc=1.0, size=(3, 2, 4, 4))
+    idx = np.array([1, 0, 1, 1, 2, 0])
+    gamma = ad.const(rng.uniform(0.5, 1.5, 2))
+    beta = ad.const(rng.normal(size=2))
+    s_rows, s_counts = ad.BatchNormState.fresh(2), ad.BatchNormState.fresh(2)
+    rows = ad.batch_norm(ad.const(x[idx]), gamma, beta, True, s_rows)
+    counted = ad.take_rows(ad.batch_norm(ad.const(x), gamma, beta, True,
+                                         s_counts, np.bincount(idx)), idx)
+    np.testing.assert_allclose(counted.value, rows.value, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(s_counts.mean, s_rows.mean)
+    np.testing.assert_array_equal(s_counts.var, s_rows.var)
+
+
 def test_grad_conv3x3():
     rng = np.random.default_rng(12)
     x = ad.param(rng.normal(size=(2, 2, 5, 4)))
@@ -348,6 +390,9 @@ def test_grad_normalizations():
     check_proj(lambda: ad.batch_norm(x, gamma, beta, training=False, state=state),
                leaves, rng)
     check_proj(lambda: ad.instance_norm(x, gamma, beta), leaves, rng)
+    for counts in ([1, 3, 2], [4, 1, 1]):
+        check_proj(lambda: ad.batch_norm(x, gamma, beta, training=True,
+                                         counts=counts), leaves, rng)
 
 
 def test_grad_resampling():

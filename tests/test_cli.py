@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -209,16 +211,30 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
+def _first_value_offset(raw: bytes, block: str) -> int:
+    """Byte offset of the first float32 of a named weight block."""
+    off = raw.index(block.encode("utf-8")) + len(block)
+    return off + 1 + 4 * raw[off]  # ndim byte, then one uint32 per axis
+
+
 def _corrupt_weights(raw: bytes, fault: str) -> bytes:
     if fault == "cut-in-half":
         return raw[:len(raw) // 2]
     if fault == "cut-in-header":
         return raw[:12]
-    return raw + b"\x00junk"  # trailing bytes after the last block
+    if fault == "trailing-bytes":
+        return raw + b"\x00junk"
+    block, value = {"nan-weight": ("enc1.conv.w", float("nan")),
+                    "inf-weight": ("bias.head.w", float("inf")),
+                    "negative-variance": ("enc1.var", -0.25)}[fault]
+    out = bytearray(raw)
+    struct.pack_into("<f", out, _first_value_offset(raw, block), value)
+    return bytes(out)
 
 
 @pytest.mark.parametrize("fault", ["cut-in-half", "cut-in-header",
-                                   "trailing-bytes"])
+                                   "trailing-bytes", "nan-weight",
+                                   "inf-weight", "negative-variance"])
 def test_damaged_weight_file_exits_2(workspace, tmp_path, capsys, fault):
     query = load_dataset(workspace["alpha"] / "manifest.jsonl") \
         .samples[0].image_path

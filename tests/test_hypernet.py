@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chromacc.autodiff as ad
 import chromacc.ccc as ccc
@@ -192,19 +194,124 @@ def test_c5_infer_drops_empty_additional_images():
         hn.c5_infer(empty, [good], w)
 
 
-def test_encode_decode_helpers():
-    rng = np.random.default_rng(12)
-    arch = tiny_arch(emit_gain=True)
+# ----- level 1 runs once per distinct branch image -----
+
+def _frozen_batch_norm(x, gamma, beta, training, state):
+    """ad.batch_norm as it was when level 1 ran on every branch row: plain
+    statistics over all rows."""
+    xv = x.value
+    axes = (0, 2, 3)
+    gm = gamma.value[None, :, None, None]
+    if training:
+        mu = xv.mean(axis=axes)
+        var = xv.var(axis=axes)
+        state.update(mu, var)
+        sigma = np.sqrt(var + ad.BN_EPS)
+        xhat = (xv - mu[None, :, None, None]) / sigma[None, :, None, None]
+
+        def vjp_x(g):
+            dxhat = g * gm
+            mean_d = dxhat.mean(axis=axes)
+            mean_dx = (dxhat * xhat).mean(axis=axes)
+            return (dxhat - mean_d[None, :, None, None]
+                    - xhat * mean_dx[None, :, None, None]) \
+                / sigma[None, :, None, None]
+    else:
+        sigma = np.sqrt(state.var + ad.BN_EPS)
+        xhat = (xv - state.mean[None, :, None, None]) \
+            / sigma[None, :, None, None]
+
+        def vjp_x(g):
+            return g * gm / sigma[None, :, None, None]
+
+    value = gm * xhat + beta.value[None, :, None, None]
+    return ad.Node(value, [(x, vjp_x),
+                           (gamma, lambda g: (g * xhat).sum(axis=axes)),
+                           (beta, lambda g: g.sum(axis=axes))])
+
+
+def _all_rows_maps(stacks, weights, training, pnodes):
+    """The network graph as it was built when level 1 ran on every branch
+    row: conv over all B*m rows, then select_branch and branch_max."""
+    arch = weights.arch
+    b, m = stacks.shape[:2]
+    z = ad.const(stacks.reshape(b * m, hn.IN_CHANNELS, arch.n, arch.n))
+    skips = []
+    for lvl in range(1, arch.depth + 1):
+        t = ad.leaky_relu(ad.conv3x3(z, pnodes[f"enc{lvl}.conv.w"]))
+        t = _frozen_batch_norm(t, pnodes[f"enc{lvl}.bn.gamma"],
+                               pnodes[f"enc{lvl}.bn.beta"], training,
+                               weights.bn[f"enc{lvl}"])
+        if lvl == 1:
+            skips.append(ad.select_branch(t, m, 0))
+            z = ad.branch_max(ad.max_pool2(t), m)
+        else:
+            skips.append(t)
+            z = ad.max_pool2(t)
+    return {name: hn._decode_nodes(skips, z, pnodes, arch, name)
+            for name in arch.decoders}
+
+
+def _projected_loss(maps, projs):
+    out = None
+    for name, proj in projs.items():
+        term = ad.sum_all(ad.mul(maps[name], ad.const(proj)))
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 3), m=st.integers(1, 4), data=st.data())
+def test_level1_on_distinct_rows_matches_all_rows_graph(b, m, data):
+    rows = b * m
+    # which image fills each branch row: all distinct, or drawn with repeats
+    pattern = data.draw(st.one_of(
+        st.just(list(range(rows))),
+        st.lists(st.integers(0, rows - 1), min_size=rows, max_size=rows)))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    arch = hn.ArchitectureConfig(n=8, m=m, depth=2, base_channels=2,
+                                 emit_gain=True)
     w = hn.init_weights(arch, rng)
-    branches = [rng.random((4, 16, 16)) for _ in range(3)]
-    skips, trunk = hn.encode(branches, w)
-    assert len(skips) == arch.depth
-    assert skips[0].shape == (2, 16, 16)
-    assert skips[1].shape == (4, 8, 8)
-    assert trunk.shape == (4, 4, 4)
-    params = hn.decode(branches, w)
-    assert params.bias.shape == (16, 16)
-    assert params.gain is not None
+    stacks = rng.random((rows, 4, 8, 8))[pattern].reshape(b, m, 4, 8, 8)
+    if data.draw(st.booleans()):  # flip one bit of one row's lowest byte
+        r = data.draw(st.integers(0, rows - 1))
+        stacks.reshape(rows, -1).view(np.uint8)[r, 8 * rng.integers(256)] ^= 1
+
+    flat = stacks.reshape(rows, -1)
+    first, inv = hn._distinct_rows(flat.reshape(rows, 4, 8, 8))
+    for i in range(rows):
+        for j in range(rows):
+            assert (inv[i] == inv[j]) == (flat[i].tobytes() == flat[j].tobytes())
+    assert [int(np.flatnonzero(inv == s)[0]) for s in range(len(first))] \
+        == first.tolist()
+
+    pnodes = {k: ad.param(v) for k, v in w.params.items()}
+    got, _ = hn.forward_maps(stacks, w, training=False, param_nodes=pnodes)
+    ref = _all_rows_maps(stacks, w, False, pnodes)
+    for name in arch.decoders:
+        assert np.array_equal(got[name].value, ref[name].value), name
+
+    projs = {name: rng.normal(size=(b, hn.DECODER_OUT[name], 8, 8))
+             for name in arch.decoders}
+    w_new, w_ref = w.copy(), w.copy()
+    new = {k: ad.param(v) for k, v in w.params.items()}
+    old = {k: ad.param(v) for k, v in w.params.items()}
+    loss_new = _projected_loss(
+        hn.forward_maps(stacks, w_new, training=True, param_nodes=new)[0],
+        projs)
+    loss_ref = _projected_loss(_all_rows_maps(stacks, w_ref, True, old), projs)
+    ad.backward(loss_new)
+    ad.backward(loss_ref)
+    assert abs(loss_new.value - loss_ref.value) \
+        <= 1e-12 * abs(loss_ref.value)
+    for k in w.params:
+        scale = np.abs(old[k].grad).max()
+        np.testing.assert_allclose(new[k].grad, old[k].grad, rtol=0,
+                                   atol=1e-12 * scale, err_msg=k)
+    for k in w.bn:
+        assert np.array_equal(w_new.bn[k].mean, w_ref.bn[k].mean), k
+        assert np.array_equal(w_new.bn[k].var, w_ref.bn[k].var), k
 
 
 # ----- serialization -----
@@ -283,6 +390,19 @@ def test_load_rejects_damaged_blocks(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError, match="kind"):
         hn.load_weights(path)
+
+
+def test_load_rejects_non_finite_values_and_negative_variance(tmp_path):
+    path = tmp_path / "model.ccwf"
+    for fault in ("nan", "inf", "negative-variance"):
+        w = tiny_weights()
+        if fault == "negative-variance":
+            w.bn["enc2"].var[1] = -0.5
+        else:
+            w.params["bias.head.w"][0, 0, 1, 1] = float(fault)
+        hn.save_weights(w, path)
+        with pytest.raises(DataError, match="non-finite|negative"):
+            hn.load_weights(path)
 
 
 # ----- gradients through the whole network -----
