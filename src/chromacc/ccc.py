@@ -1,19 +1,22 @@
-"""Histogram-domain illuminant localization.
+"""Histogram-domain illuminant localization: the CCC head.
 
 Learned 2D filters are convolved against the chroma histogram channels; a
-softmax over bias + summed responses yields a probability map ("heat map")
-on the (u, v) grid, and its coordinate expectation is the illuminant
-estimate.  Because a global per-channel gain translates the histogram, a
-single filter bank localizes the illuminant for any shift: estimation is a
-sliding-window search in chroma space.
+softmax over bias + [gain *] summed responses yields a probability map
+("heat map") on the (u, v) grid, and its coordinate expectation is the
+illuminant estimate.  Because a global per-channel gain translates the
+histogram, a single filter bank localizes the illuminant for any shift:
+estimation is a sliding-window search in chroma space.
 
-Convolution here is linear (non-circular), same-size, zero-padded, with the
-kernel anchored at (n//2, n//2):
+The head has one definition, _head_nodes, built from autodiff ops.  Training
+builds it on a batch of network outputs and differentiates through it;
+estimate_illuminant builds it on constant Nodes of one stack.  Its
+convolution is the tape's FFT (autodiff.ccc_conv): linear (non-circular),
+same-size, zero-padded, with the kernel anchored at (n//2, n//2):
 
     out[i, j] = sum_{p, q} x[i + c - p, j + c - q] * k[p, q],  c = n // 2
 
-"fft" and "direct" modes compute the same thing; direct is the slow
-obviously-correct reference.
+convolve2d exposes it on plain arrays, and its "direct" mode, an explicit
+shift-and-add, is the slow obviously-correct reference for the FFT.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histograms import ChromaHistogram, HistogramConfig
+from . import autodiff as ad
+from .histograms import HistogramConfig, _stack_array
 
 __all__ = [
     "CCCParams",
@@ -67,18 +71,6 @@ class CCCParams:
         return self.bias.shape[0]
 
 
-def _conv_same_fft(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Same-size linear convolution via zero-padded FFT, batched over
-    leading axes.  x and k must share their trailing (n, n) shape."""
-    n = x.shape[-1]
-    c = n // 2
-    s = 2 * n  # >= 2n-1, keeps FFT sizes fast and the linear conv alias-free
-    fx = np.fft.rfft2(x, s=(s, s))
-    fk = np.fft.rfft2(k, s=(s, s))
-    full = np.fft.irfft2(fx * fk, s=(s, s))
-    return full[..., c:c + n, c:c + n]
-
-
 def _conv_same_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Reference same-size linear convolution: explicit shift-and-add over
     every kernel tap, zero padding outside the input."""
@@ -103,58 +95,70 @@ def _conv_same_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def convolve2d(x: np.ndarray, k: np.ndarray, mode: str = "fft") -> np.ndarray:
-    """Same-size linear convolution of two equally sized square arrays."""
+    """Same-size linear convolution of two equally sized square arrays,
+    batched over (broadcast) leading axes."""
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     if x.shape[-2:] != k.shape[-2:] or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"need matching square arrays, got {x.shape} vs {k.shape}")
     if mode == "fft":
-        return _conv_same_fft(x, k)
+        x, k = np.broadcast_arrays(x, k)
+        planes = (-1, 1) + x.shape[-2:]  # one channel each: nothing is summed
+        return ad.ccc_conv(ad.const(x.reshape(planes)),
+                           ad.const(k.reshape(planes))).value.reshape(x.shape)
     if mode == "direct":
         return _conv_same_direct(x, k)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def softmax2d(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the trailing two axes."""
-    z = logits - logits.max(axis=(-2, -1), keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=(-2, -1), keepdims=True)
+def _uv_nodes(prob: ad.Node, config: HistogramConfig):
+    """Expected (u, v) under (..., n, n) maps on the bin-center grid: u
+    runs along columns, v along rows."""
+    c = config.centers()
+    ones = np.ones((c.size, c.size))
+    return (ad.expectation2d(prob, ones * c[None, :]),
+            ad.expectation2d(prob, ones * c[:, None]))
 
 
-def evaluate_ccc(stack, params: CCCParams, mode: str = "fft") -> np.ndarray:
-    """Heat map P = softmax(bias + [gain *] sum_i conv(N_i, F_i)).
+def _head_nodes(hists: ad.Node, filters: ad.Node, bias: ad.Node,
+                gain: ad.Node, config: HistogramConfig):
+    """The CCC head on the tape, for a batch of B images.
+
+    hists, filters: (B, 2, n, n); bias and gain (None for no gain):
+    (B, n, n).  Returns the heat map P = softmax(bias + [gain *]
+    sum_i conv(N_i, F_i)) as a (B, n, n) Node and its expected (u, v) as
+    a (B, 3) unit RGB Node.
+    """
+    resp = ad.ccc_conv(hists, filters)
+    if gain is not None:
+        resp = ad.mul(gain, resp)
+    prob = ad.softmax2d(ad.add(bias, resp))
+    return prob, ad.uv_to_rgb(*_uv_nodes(prob, config))
+
+
+def estimate_illuminant(stack, params: CCCParams,
+                        config: HistogramConfig = HistogramConfig()):
+    """Full evaluator: returns (unit illuminant RGB, heat map).
 
     stack may be a ChromaHistogram or an (n, n, 4) / (4, n, n) array; only
     channels 0-1 (the two histograms) are convolved.
     """
-    hists = _histogram_channels(stack, params.n)
-    resp = convolve2d(hists[0], params.filters[0], mode)
-    resp += convolve2d(hists[1], params.filters[1], mode)
-    if params.gain is not None:
-        resp *= params.gain
-    return softmax2d(params.bias + resp)
+    hists = _stack_array(stack, params.n)[None, :2]
+    gain = None if params.gain is None else ad.const(params.gain[None])
+    prob, ell = _head_nodes(ad.const(hists), ad.const(params.filters[None]),
+                            ad.const(params.bias[None]), gain, config)
+    return ell.value[0], prob.value[0]
 
 
-def _histogram_channels(stack, n: int) -> np.ndarray:
-    if isinstance(stack, ChromaHistogram):
-        data = stack.channel_first()
-    else:
-        data = np.asarray(stack, dtype=np.float64)
-        if data.shape == (n, n, 4):
-            data = data.transpose(2, 0, 1)
-    if data.shape != (4, n, n):
-        raise ValueError(f"expected a 4-channel {n}x{n} stack, got {data.shape}")
-    return data[:2]
+def evaluate_ccc(stack, params: CCCParams) -> np.ndarray:
+    """Heat map P = softmax(bias + [gain *] sum_i conv(N_i, F_i))."""
+    return estimate_illuminant(stack, params, HistogramConfig(n=params.n))[1]
 
 
 def soft_argmax(p: np.ndarray, config: HistogramConfig) -> tuple[float, float]:
     """Expected (u, v) under a probability map on the bin-center grid."""
-    p = np.asarray(p, dtype=np.float64)
-    c = config.centers()
-    u = float((p * c[None, :]).sum())
-    v = float((p * c[:, None]).sum())
-    return u, v
+    u, v = _uv_nodes(ad.const(p), config)
+    return float(u.value), float(v.value)
 
 
 def uv_to_rgb(u, v) -> np.ndarray:
@@ -163,18 +167,4 @@ def uv_to_rgb(u, v) -> np.ndarray:
     ell = (e^-u, 1, e^-v) / z with z the Euclidean norm; broadcasts over
     array-shaped u, v and stacks RGB on the last axis.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    a = np.exp(-u)
-    b = np.exp(-v)
-    z = np.sqrt(a * a + b * b + 1.0)
-    return np.stack([a / z, np.ones_like(z) / z, b / z], axis=-1)
-
-
-def estimate_illuminant(stack, params: CCCParams,
-                        config: HistogramConfig = HistogramConfig(),
-                        mode: str = "fft"):
-    """Full evaluator: returns (unit illuminant RGB, heat map)."""
-    p = evaluate_ccc(stack, params, mode)
-    u, v = soft_argmax(p, config)
-    return uv_to_rgb(u, v), p
+    return ad.uv_to_rgb(ad.const(u), ad.const(v)).value

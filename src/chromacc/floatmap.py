@@ -34,8 +34,8 @@ def _read_token(fh) -> bytes:
 
 def read_pfm(path) -> np.ndarray:
     """Load a float map as float64, (H, W, 3) for 'PF' or (H, W) for 'Pf'.
-    A malformed header, a short payload or bytes after the last scanline
-    raise DataError."""
+    A malformed header (a non-finite scale included), a short payload or
+    bytes after the last scanline raise DataError."""
     with open(path, "rb") as fh:
         magic = _read_token(fh)
         if magic not in (b"PF", b"Pf"):
@@ -47,16 +47,20 @@ def read_pfm(path) -> np.ndarray:
             scale = float(_read_token(fh))
         except ValueError as exc:
             raise DataError(f"{path}: malformed header: {exc}") from None
-        if width < 1 or height < 1 or scale == 0.0:
+        if width < 1 or height < 1 or scale == 0.0 or not np.isfinite(scale):
             raise DataError(f"{path}: bad dimensions or scale")
-        endian = "<" if scale < 0 else ">"
-        count = width * height * channels
-        data = np.fromfile(fh, dtype=f"{endian}f4", count=count)
-        if data.size != count:
-            raise DataError(f"{path}: expected {count} floats, got {data.size}")
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after {count} floats")
-    data = data.astype(np.float64) * abs(scale)
+        payload = fh.read()
+    # compared as Python ints: a header may claim more floats than any
+    # array can hold
+    count = width * height * channels
+    if len(payload) < 4 * count:
+        raise DataError(f"{path}: expected {count} floats, got "
+                        f"{len(payload) // 4}")
+    if len(payload) > 4 * count:
+        raise DataError(f"{path}: trailing bytes after {count} floats")
+    endian = "<" if scale < 0 else ">"
+    data = np.frombuffer(payload, dtype=f"{endian}f4").astype(np.float64) \
+        * abs(scale)
     data = data.reshape(height, width, channels)[::-1]  # bottom-up rows
     return data[..., 0] if channels == 1 else data
 

@@ -34,8 +34,8 @@ from . import autodiff as ad
 from .autodiff import _snap32
 from .ccc import CCCParams, estimate_illuminant
 from .floatmap import DataError
-from .histograms import (ChromaHistogram, EmptyHistogramError,
-                         HistogramConfig, RawImage, assemble_feature_stack)
+from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
+                         _stack_array, assemble_feature_stack)
 
 __all__ = [
     "ArchitectureConfig", "NetworkWeights", "init_weights", "param_count",
@@ -71,9 +71,12 @@ class ArchitectureConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.base_channels < 1:
             raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.n < 2 ** self.depth or self.n % (2 ** self.depth):
+        # n < 2**depth tested by bit length: 2**depth of a damaged weight
+        # header's depth would be an enormous int
+        if self.n < 1 or self.depth >= int(self.n).bit_length() \
+                or self.n % 2 ** self.depth:
             raise ValueError(
-                f"n={self.n} must be a positive multiple of 2^depth={2**self.depth}")
+                f"n={self.n} must be a positive multiple of 2^{self.depth}")
 
     @property
     def channels(self) -> tuple:
@@ -122,31 +125,38 @@ def param_count(weights: NetworkWeights) -> int:
     return int(sum(v.size for v in weights.params.values()))
 
 
+def _param_shapes(arch: ArchitectureConfig) -> dict:
+    """Name -> shape of every parameter block, in initialization order."""
+    shapes = {}
+    cin = IN_CHANNELS
+    for lvl, c in enumerate(arch.channels, start=1):
+        shapes[f"enc{lvl}.conv.w"] = (c, cin, 3, 3)
+        shapes[f"enc{lvl}.bn.gamma"] = (c,)
+        shapes[f"enc{lvl}.bn.beta"] = (c,)
+        cin = c
+    for name in arch.decoders:
+        for lvl, din, dout in arch.decoder_plan(name):
+            shapes[f"{name}.lvl{lvl}.conv.w"] = (dout, din, 3, 3)
+            shapes[f"{name}.lvl{lvl}.in.gamma"] = (dout,)
+            shapes[f"{name}.lvl{lvl}.in.beta"] = (dout,)
+        shapes[f"{name}.head.w"] = (DECODER_OUT[name], dout, 3, 3)
+    return shapes
+
+
 def init_weights(arch: ArchitectureConfig, rng: np.random.Generator
                  ) -> NetworkWeights:
     """He fan-in initialization for convs, unit/zero affine for norms."""
     params: dict[str, np.ndarray] = {}
-    bn: dict[str, ad.BatchNormState] = {}
-
-    def conv(name, cout, cin):
-        std = np.sqrt(2.0 / (cin * 9))
-        params[name] = _snap32(rng.normal(0.0, std, (cout, cin, 3, 3)))
-
-    cin = IN_CHANNELS
-    for lvl, c in enumerate(arch.channels, start=1):
-        conv(f"enc{lvl}.conv.w", c, cin)
-        params[f"enc{lvl}.bn.gamma"] = np.ones(c)
-        params[f"enc{lvl}.bn.beta"] = np.zeros(c)
-        bn[f"enc{lvl}"] = ad.BatchNormState.fresh(c)
-        cin = c
-
-    for name in arch.decoders:
-        for lvl, din, dout in arch.decoder_plan(name):
-            conv(f"{name}.lvl{lvl}.conv.w", dout, din)
-            params[f"{name}.lvl{lvl}.in.gamma"] = np.ones(dout)
-            params[f"{name}.lvl{lvl}.in.beta"] = np.zeros(dout)
-        head_in = arch.decoder_plan(name)[-1][2]
-        conv(f"{name}.head.w", DECODER_OUT[name], head_in)
+    for name, shape in _param_shapes(arch).items():
+        if name.endswith(".w"):
+            std = np.sqrt(2.0 / (shape[1] * 9))
+            params[name] = _snap32(rng.normal(0.0, std, shape))
+        elif name.endswith(".gamma"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
+    bn = {f"enc{lvl}": ad.BatchNormState.fresh(c)
+          for lvl, c in enumerate(arch.channels, start=1)}
     return NetworkWeights(arch, params, bn)
 
 
@@ -255,22 +265,10 @@ def _params_from_maps(maps, arch, index) -> CCCParams:
                      filters=maps["filters"].value[index], gain=gain)
 
 
-def _as_stack_array(stack, arch) -> np.ndarray:
-    if isinstance(stack, ChromaHistogram):
-        arr = stack.channel_first()
-    else:
-        arr = np.asarray(stack, dtype=np.float64)
-        if arr.shape == (arch.n, arch.n, IN_CHANNELS):
-            arr = np.ascontiguousarray(arr.transpose(2, 0, 1))
-    if arr.shape != (IN_CHANNELS, arch.n, arch.n):
-        raise ValueError(f"stack shape {arr.shape} does not fit n={arch.n}")
-    return arr
-
-
 def _stack_batch(stacks, arch) -> np.ndarray:
     """Query-first branch list -> (m, 4, n, n), padding cyclically when fewer
     than m branches are supplied."""
-    arrs = [_as_stack_array(s, arch) for s in stacks]
+    arrs = [_stack_array(s, arch.n) for s in stacks]
     if not arrs:
         raise ValueError("need at least the query stack")
     if len(arrs) > arch.m:
@@ -348,6 +346,7 @@ def save_weights(weights: NetworkWeights, path):
 def load_weights(path) -> NetworkWeights:
     """Read a file written by save_weights.  Any malformed content -- bad
     magic or version, a cut-off header or block, an unknown block kind,
+    a block with more axes than numpy allows or more bytes than are left,
     trailing bytes, a missing or misshapen block, a non-finite value, a
     negative batch-norm variance -- raises DataError."""
     with open(path, "rb") as fh:
@@ -385,10 +384,16 @@ def load_weights(path) -> NetworkWeights:
         except UnicodeDecodeError:
             raise DataError("weight block name is not UTF-8") from None
         (ndim,) = take("<B")
+        if ndim > 64:  # numpy's limit on array axes
+            raise DataError(f"weight block {name} has {ndim} axes")
         shape = take(f"<{ndim}I")
-        size = math.prod(shape)
-        data = take(f"<{4 * size}s")[0]
-        arr = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+        nbytes = 4 * math.prod(shape)
+        if nbytes > len(raw) - off:
+            raise DataError(f"weight block {name} needs {nbytes} bytes, "
+                            f"{len(raw) - off} are left")
+        arr = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=off) \
+            .astype(np.float64).reshape(shape)
+        off += nbytes
         if not np.isfinite(arr).all():
             raise DataError(f"weight block {name} holds a non-finite value")
         (params if kind == 0 else stats)[name] = arr
@@ -409,18 +414,22 @@ def load_weights(path) -> NetworkWeights:
 
 
 def _check_complete(weights: NetworkWeights):
-    ref = init_weights(weights.arch, np.random.default_rng(0))
-    missing = set(ref.params) - set(weights.params)
-    extra = set(weights.params) - set(ref.params)
+    """Every block the architecture needs, with its shape.  Shapes are
+    compared without building reference weights, whose size a damaged
+    header sets."""
+    ref = _param_shapes(weights.arch)
+    missing = set(ref) - set(weights.params)
+    extra = set(weights.params) - set(ref)
     if missing or extra:
         raise DataError(f"weight blocks mismatch: missing {sorted(missing)}, "
                         f"unexpected {sorted(extra)}")
-    for k, v in ref.params.items():
-        if weights.params[k].shape != v.shape:
+    for k, shape in ref.items():
+        if weights.params[k].shape != shape:
             raise DataError(f"block {k} has shape {weights.params[k].shape}, "
-                            f"expected {v.shape}")
-    for k, s in ref.bn.items():
-        got = weights.bn[k]
-        if got.mean.shape != s.mean.shape or got.var.shape != s.var.shape:
-            raise DataError(f"statistics {k} have shapes {got.mean.shape} and "
-                            f"{got.var.shape}, expected {s.mean.shape}")
+                            f"expected {shape}")
+    for lvl, c in enumerate(weights.arch.channels, start=1):
+        got = weights.bn[f"enc{lvl}"]
+        if got.mean.shape != (c,) or got.var.shape != (c,):
+            raise DataError(f"statistics enc{lvl} have shapes "
+                            f"{got.mean.shape} and {got.var.shape}, "
+                            f"expected {(c,)}")

@@ -20,14 +20,15 @@ import numpy as np
 from . import autodiff as ad
 from . import hypernet as hn
 from .autodiff import _snap32
+from .ccc import _head_nodes
 from .histograms import HistogramConfig
 
 __all__ = [
     "NumericalError", "TrainConfig", "TrainingSample", "EpochMetrics",
-    "TrainResult", "angular_error", "smoothness_penalty", "lr_at",
-    "batch_size_at", "AdamState", "adam_step", "sample_batch", "iter_epoch",
-    "build_loss", "validation_split", "train", "parse_config",
-    "train_config_from", "format_metrics",
+    "TrainResult", "angular_error", "lr_at", "batch_size_at", "AdamState",
+    "adam_step", "sample_batch", "iter_epoch", "build_loss",
+    "validation_split", "train", "parse_config", "train_config_from",
+    "format_metrics",
 ]
 
 # horizontal (variation along u = columns) and vertical Sobel kernels;
@@ -98,30 +99,6 @@ def angular_error(a, b) -> float:
         raise ValueError("angular error of a zero vector is undefined")
     c = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
     return float(np.degrees(np.arccos(c)))
-
-
-def _sobel_energy(plane: np.ndarray) -> float:
-    """Sum of squared valid-mode responses to both Sobel kernels."""
-    win = np.lib.stride_tricks.sliding_window_view(plane, (3, 3))
-    total = 0.0
-    for k in (SOBEL_U, SOBEL_V):
-        resp = (win * k).sum(axis=(-2, -1))
-        total += float((resp ** 2).sum())
-    return total
-
-
-def smoothness_penalty(params, lambda_f: float = 0.15, lambda_b: float = 0.02,
-                       lambda_g: float = 0.02) -> float:
-    """Penalty on the roughness of emitted maps: lambda_B E(B)
-    + lambda_F sum_i E(F_i) (+ lambda_G E(G)), E = squared Sobel energy.
-    Constant maps cost nothing; responses are taken where the kernel fits
-    entirely inside the map."""
-    total = lambda_b * _sobel_energy(params.bias)
-    for f in params.filters:
-        total += lambda_f * _sobel_energy(f)
-    if params.gain is not None:
-        total += lambda_g * _sobel_energy(params.gain)
-    return total
 
 
 def lr_at(step: int, total_steps: int, lr_initial: float) -> float:
@@ -264,17 +241,9 @@ def build_loss(stacks: np.ndarray, targets: np.ndarray,
     n = arch.n
 
     hists = ad.const(np.ascontiguousarray(stacks[:, 0, :2]))  # query N0, N1
-    resp = ad.ccc_conv(hists, maps["filters"])
-    if arch.emit_gain:
-        resp = ad.mul(ad.reshape(maps["gain"], (b, n, n)), resp)
-    logits = ad.add(ad.reshape(maps["bias"], (b, n, n)), resp)
-    prob = ad.softmax2d(logits)
-
-    centers = config.centers()
-    ones = np.ones((n, n))
-    u_hat = ad.expectation2d(prob, ones * centers[None, :])
-    v_hat = ad.expectation2d(prob, ones * centers[:, None])
-    ell = ad.uv_to_rgb(u_hat, v_hat)
+    gain = ad.reshape(maps["gain"], (b, n, n)) if arch.emit_gain else None
+    _, ell = _head_nodes(hists, maps["filters"],
+                         ad.reshape(maps["bias"], (b, n, n)), gain, config)
     angles = ad.arccos(ad.dot(ell, ad.const(np.asarray(targets, float))))
 
     per_sample = angles

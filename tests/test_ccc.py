@@ -2,23 +2,32 @@
 
 The direct convolution mode is the reference; frozen expectations below are
 hand-derived from out[i,j] = sum x[i+c-p, j+c-q] k[p,q] with c = n//2.
+A frozen copy of the plain-numpy evaluator that preceded the tape-built
+head pins the head's values bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chromacc.hypernet as hn
 from chromacc.ccc import (
     CCCParams,
     convolve2d,
     estimate_illuminant,
     evaluate_ccc,
     soft_argmax,
-    softmax2d,
     uv_to_rgb,
 )
 from chromacc.histograms import HistogramConfig, compute_uv
+
+
+def closed_form_softmax(logits):
+    e = np.exp(logits)
+    return e / e.sum(axis=(-2, -1), keepdims=True)
 
 
 def test_center_delta_is_identity():
@@ -79,12 +88,17 @@ def test_convolve2d_rejects_mismatched():
 
 
 def test_softmax_properties():
+    # with zero filters the heat map is the softmax of the bias alone
     rng = np.random.default_rng(2)
     logits = rng.normal(scale=5.0, size=(16, 16))
-    p = softmax2d(logits)
+    stack = rng.uniform(size=(4, 16, 16))
+    filters = np.zeros((2, 16, 16))
+    p = evaluate_ccc(stack, CCCParams(logits, filters))
     assert np.all(p > 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    q = softmax2d(logits + 123.456)  # shift invariance
+    np.testing.assert_allclose(p, closed_form_softmax(logits), atol=1e-15)
+    # shift invariance, and no overflow where exp(logits) alone would
+    q = evaluate_ccc(stack, CCCParams(logits + 1234.5, filters))
     np.testing.assert_allclose(p, q, atol=1e-12)
 
 
@@ -191,10 +205,8 @@ def test_evaluate_ccc_gain_and_modes():
     )
     # manual: logits = bias + gain * (conv(h, F0) + conv(0, F1))
     resp = convolve2d(h, params.filters[0], "direct")
-    manual = softmax2d(params.bias + params.gain * resp)
-    np.testing.assert_allclose(evaluate_ccc(stack, params, "direct"), manual,
-                               atol=1e-14)
-    np.testing.assert_allclose(evaluate_ccc(stack, params, "fft"), manual,
+    manual = closed_form_softmax(params.bias + params.gain * resp)
+    np.testing.assert_allclose(evaluate_ccc(stack, params), manual,
                                atol=1e-10)
 
 
@@ -222,3 +234,87 @@ def test_ccc_params_validation():
         CCCParams(np.zeros((4, 4)), np.zeros((3, 4, 4)))
     with pytest.raises(ValueError):
         CCCParams(np.zeros((4, 4)), np.zeros((2, 4, 4)), np.zeros((5, 5)))
+
+
+# ----- the value path that preceded the tape-built head, frozen -----
+
+def _frozen_conv_fft(x, k):
+    n = x.shape[-1]
+    c = n // 2
+    s = 2 * n
+    fx = np.fft.rfft2(x, s=(s, s))
+    fk = np.fft.rfft2(k, s=(s, s))
+    full = np.fft.irfft2(fx * fk, s=(s, s))
+    return full[..., c:c + n, c:c + n]
+
+
+def _frozen_softmax2d(logits):
+    z = logits - logits.max(axis=(-2, -1), keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=(-2, -1), keepdims=True)
+
+
+def _frozen_estimate_illuminant(stack, params, config):
+    """evaluate_ccc (fft mode) + soft_argmax + uv_to_rgb as they were
+    before the head moved onto the tape; stack is (4, n, n)."""
+    resp = _frozen_conv_fft(stack[0], params.filters[0])
+    resp += _frozen_conv_fft(stack[1], params.filters[1])
+    if params.gain is not None:
+        resp *= params.gain
+    p = _frozen_softmax2d(params.bias + resp)
+    c = config.centers()
+    u = float((p * c[None, :]).sum())
+    v = float((p * c[:, None]).sum())
+    a = np.exp(-np.asarray(u))
+    b = np.exp(-np.asarray(v))
+    z = np.sqrt(a * a + b * b + 1.0)
+    return np.stack([a / z, np.ones_like(z) / z, b / z], axis=-1), p
+
+
+def _random_case(seed, n, with_gain, scale):
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(size=(4, n, n))
+    stack[:2] /= stack[:2].sum(axis=(1, 2), keepdims=True)
+    gain = rng.uniform(0.5, 1.5, (n, n)) if with_gain else None
+    params = CCCParams(bias=rng.normal(scale=scale, size=(n, n)),
+                       filters=rng.normal(scale=scale * n, size=(2, n, n)),
+                       gain=gain)
+    return stack, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 16, 32, 64]),
+       with_gain=st.booleans(), scale=st.sampled_from([0.1, 1.0, 10.0]),
+       layout=st.sampled_from(["channel-first", "channel-last"]))
+def test_head_matches_frozen_value_path_bit_for_bit(seed, n, with_gain, scale,
+                                                    layout):
+    stack, params = _random_case(seed, n, with_gain, scale)
+    cfg = HistogramConfig(n=n)
+    want_ell, want_p = _frozen_estimate_illuminant(stack, params, cfg)
+    given_stack = stack if layout == "channel-first" else \
+        stack.transpose(1, 2, 0).copy()
+    ell, p = estimate_illuminant(given_stack, params, cfg)
+    assert np.array_equal(p, want_p)
+    assert np.array_equal(ell, want_ell)
+    assert np.array_equal(evaluate_ccc(given_stack, params), want_p)
+    u, v = soft_argmax(want_p, cfg)
+    c = cfg.centers()
+    assert u == float((want_p * c[None, :]).sum())
+    assert v == float((want_p * c[:, None]).sum())
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 16, 32, 64]),
+       emit_gain=st.booleans())
+def test_infer_from_stacks_matches_frozen_value_path(seed, n, emit_gain):
+    rng = np.random.default_rng(seed)
+    arch = hn.ArchitectureConfig(n=n, m=2, depth=2, base_channels=2,
+                                 emit_gain=emit_gain)
+    weights = hn.init_weights(arch, rng)
+    query, extra = rng.uniform(size=(2, 4, n, n))
+    ell, params, heat = hn.infer_from_stacks(query, [extra], weights)
+    want_ell, want_p = _frozen_estimate_illuminant(query, params,
+                                                   HistogramConfig(n=n))
+    assert (params.gain is not None) == emit_gain
+    assert np.array_equal(heat, want_p)
+    assert np.array_equal(ell, want_ell)

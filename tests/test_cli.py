@@ -224,6 +224,14 @@ def _corrupt_weights(raw: bytes, fault: str) -> bytes:
         return raw[:12]
     if fault == "trailing-bytes":
         return raw + b"\x00junk"
+    first = raw.index(b"enc1.conv.w") + len("enc1.conv.w")  # its ndim byte
+    ndim = raw[first]
+    if fault == "block-past-end":  # every axis of the first block 2^32 - 1
+        return (raw[:first + 1] + b"\xff" * 4 * ndim
+                + raw[first + 1 + 4 * ndim:])
+    if fault == "65-axes":  # the same element count over 65 axes
+        return (raw[:first] + bytes([65]) + struct.pack("<I", 1) * (65 - ndim)
+                + raw[first + 1:])
     block, value = {"nan-weight": ("enc1.conv.w", float("nan")),
                     "inf-weight": ("bias.head.w", float("inf")),
                     "negative-variance": ("enc1.var", -0.25)}[fault]
@@ -234,7 +242,8 @@ def _corrupt_weights(raw: bytes, fault: str) -> bytes:
 
 @pytest.mark.parametrize("fault", ["cut-in-half", "cut-in-header",
                                    "trailing-bytes", "nan-weight",
-                                   "inf-weight", "negative-variance"])
+                                   "inf-weight", "negative-variance",
+                                   "block-past-end", "65-axes"])
 def test_damaged_weight_file_exits_2(workspace, tmp_path, capsys, fault):
     query = load_dataset(workspace["alpha"] / "manifest.jsonl") \
         .samples[0].image_path
@@ -258,6 +267,15 @@ def test_trailing_bytes_in_image_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "long.pfm"
     write_pfm(bad, np.full((8, 8, 3), 0.5))
     bad.write_bytes(bad.read_bytes() + b"garbage")
+    assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err
+
+
+def test_image_float_count_overflow_exits_2(workspace, tmp_path, capsys):
+    # width * height * 3 is past 2^63: no array can hold the claimed floats
+    bad = tmp_path / "huge.pfm"
+    bad.write_bytes(b"PF\n99999999999999999999 1\n-1\n" + b"\x00" * 12)
     assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and "Traceback" not in err

@@ -72,6 +72,10 @@ def test_single_space_header_accepted(tmp_path):
     b"PF\n2 2\n-1.0\n" + b"\x00" * 20,    # payload shorter than 12 floats
     pytest.param(b"PF\n2 2\n-1.0\n" + b"\x00" * 48 + b"garbage",
                  id="trailing-bytes"),    # 7 bytes after the 12 floats
+    pytest.param(b"PF\n99999999999999999999 1\n-1\n",  # 3e20 floats
+                 id="float-count-overflow"),
+    pytest.param(b"Pf\n1 1\nnan\n" + b"\x00" * 4, id="nan-scale"),
+    pytest.param(b"Pf\n1 1\n1e999\n" + b"\x00" * 4, id="infinite-scale"),
 ])
 def test_malformed_files_rejected(tmp_path, blob):
     path = tmp_path / "bad.pfm"

@@ -392,6 +392,24 @@ def test_load_rejects_damaged_blocks(tmp_path):
         hn.load_weights(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    # 2**depth of this depth is an int of 2^31 bits
+    pytest.param(16, 2 | 1 << 31, id="depth-high-bit"),
+    # reference weights of this width would need hundreds of GB
+    pytest.param(20, 2 | 1 << 30, id="base-channels-high-bit"),
+])
+def test_load_rejects_damaged_architecture_cheaply(tmp_path, field, value):
+    # found by tests/test_readers_fuzz.py: the loader must reject these
+    # from the header and the blocks alone
+    path = tmp_path / "model.ccwf"
+    hn.save_weights(tiny_weights(), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, field, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="architecture|expected"):
+        hn.load_weights(path)
+
+
 def test_load_rejects_non_finite_values_and_negative_variance(tmp_path):
     path = tmp_path / "model.ccwf"
     for fault in ("nan", "inf", "negative-variance"):

@@ -4,7 +4,6 @@ import pytest
 import chromacc.autodiff as ad
 import chromacc.hypernet as hn
 import chromacc.training as tr
-from chromacc.ccc import CCCParams
 from chromacc.histograms import HistogramConfig
 
 
@@ -57,15 +56,16 @@ def brute_sobel_energy(plane):
 
 
 def test_smoothness_zero_for_constant_maps():
-    params = CCCParams(bias=np.full((8, 8), 3.7), filters=np.ones((2, 8, 8)))
-    assert tr.smoothness_penalty(params) == 0.0
+    # zero up to the rounding of the conv's GEMM sums (~1e-29 here)
+    maps = np.full((2, 3, 8, 8), 3.7)
+    penalty = tr._smoothness_nodes(ad.const(maps), 0.15).value
+    np.testing.assert_allclose(penalty, 0.0, atol=1e-24)
 
 
 def test_smoothness_zero_lambdas():
     rng = np.random.default_rng(0)
-    params = CCCParams(bias=rng.normal(size=(8, 8)),
-                       filters=rng.normal(size=(2, 8, 8)))
-    assert tr.smoothness_penalty(params, 0.0, 0.0, 0.0) == 0.0
+    maps = rng.normal(size=(2, 3, 8, 8))
+    assert (tr._smoothness_nodes(ad.const(maps), 0.0).value == 0.0).all()
 
 
 def test_smoothness_ramp_closed_form():
@@ -73,26 +73,29 @@ def test_smoothness_ramp_closed_form():
     # position, vertical responds 0, so E(B) = 64 (n-2)^2
     n = 16
     ramp = np.tile(np.arange(n, dtype=np.float64), (n, 1))
-    params = CCCParams(bias=ramp, filters=np.zeros((2, n, n)))
     lam_b = 0.02
     expected = lam_b * 64.0 * (n - 2) ** 2
-    assert np.isclose(tr.smoothness_penalty(params, lambda_b=lam_b), expected)
+    got = tr._smoothness_nodes(ad.const(ramp[None, None]), lam_b).value
+    assert np.isclose(got[0], expected)
     assert np.isclose(brute_sobel_energy(ramp), 64.0 * (n - 2) ** 2)
 
 
 def test_smoothness_matches_brute_force_and_counts_gain():
-    rng = np.random.default_rng(1)
-    bias = rng.normal(size=(10, 10))
-    filters = rng.normal(size=(2, 10, 10))
-    gain = rng.normal(size=(10, 10))
-    params = CCCParams(bias=bias, filters=filters, gain=gain)
-    expected = (0.02 * brute_sobel_energy(bias)
-                + 0.15 * (brute_sobel_energy(filters[0])
-                          + brute_sobel_energy(filters[1]))
-                + 0.07 * brute_sobel_energy(gain))
-    got = tr.smoothness_penalty(params, 0.15, 0.02, 0.07)
-    assert np.isclose(got, expected)
-    assert got >= 0.0
+    # the loss minus the angle is the weighted Sobel energy of every
+    # emitted map, the gain included
+    arch, w, stacks, targets, _ = loss_fixture(1, emit_gain=True)
+    cfg = tr.TrainConfig(lambda_f=0.15, lambda_b=0.02, lambda_g=0.07)
+    loss, _, angles = tr.build_loss(stacks, targets, w, cfg, training=False)
+    maps, _ = hn.forward_maps(stacks, w, training=False)
+    expected = np.mean([
+        0.02 * brute_sobel_energy(maps["bias"].value[b, 0])
+        + 0.15 * (brute_sobel_energy(maps["filters"].value[b, 0])
+                  + brute_sobel_energy(maps["filters"].value[b, 1]))
+        + 0.07 * brute_sobel_energy(maps["gain"].value[b, 0])
+        for b in range(len(stacks))])
+    got = loss.value - angles.value.mean()
+    assert np.isclose(got, expected, rtol=1e-9)
+    assert got > 0.0
 
 
 def test_smoothness_node_route_matches_value_route():
@@ -257,11 +260,15 @@ def loss_fixture(seed, b=2, emit_gain=True, lam=(0.15, 0.02, 0.02)):
 
 
 def value_route_loss(stacks, target, w, cfg):
-    """Per-sample loss recomputed through the non-autodiff inference path."""
+    """Per-sample loss recomputed from single-image inference and the
+    brute-force Sobel energy of its parameters."""
     ell, params, _ = hn.infer_from_stacks(stacks[0], list(stacks[1:]), w)
     ang = np.radians(tr.angular_error(ell, target))
-    return ang + tr.smoothness_penalty(params, cfg.lambda_f, cfg.lambda_b,
-                                       cfg.lambda_g)
+    penalty = cfg.lambda_b * brute_sobel_energy(params.bias) + cfg.lambda_f \
+        * sum(brute_sobel_energy(f) for f in params.filters)
+    if params.gain is not None:
+        penalty += cfg.lambda_g * brute_sobel_energy(params.gain)
+    return ang + penalty
 
 
 def test_loss_matches_value_route_per_sample():
