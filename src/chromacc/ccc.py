@@ -137,12 +137,18 @@ def _head_nodes(hists: ad.Node, filters: ad.Node, bias: ad.Node,
 
 
 def estimate_illuminant(stack, params: CCCParams,
-                        config: HistogramConfig = HistogramConfig()):
+                        config: HistogramConfig = None):
     """Full evaluator: returns (unit illuminant RGB, heat map).
 
     stack may be a ChromaHistogram or an (n, n, 4) / (4, n, n) array; only
-    channels 0-1 (the two histograms) are convolved.
+    channels 0-1 (the two histograms) are convolved.  config defaults to
+    the histogram grid of size params.n and must have that size.
     """
+    if config is None:
+        config = HistogramConfig(n=params.n)
+    if config.n != params.n:
+        raise ValueError(f"histogram size {config.n} does not match the "
+                         f"parameters' size {params.n}")
     hists = _stack_array(stack, params.n)[None, :2]
     gain = None if params.gain is None else ad.const(params.gain[None])
     prob, ell = _head_nodes(ad.const(hists), ad.const(params.filters[None]),
@@ -152,7 +158,7 @@ def estimate_illuminant(stack, params: CCCParams,
 
 def evaluate_ccc(stack, params: CCCParams) -> np.ndarray:
     """Heat map P = softmax(bias + [gain *] sum_i conv(N_i, F_i))."""
-    return estimate_illuminant(stack, params, HistogramConfig(n=params.n))[1]
+    return estimate_illuminant(stack, params)[1]
 
 
 def soft_argmax(p: np.ndarray, config: HistogramConfig) -> tuple[float, float]:

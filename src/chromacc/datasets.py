@@ -47,10 +47,10 @@ class LabeledSample:
 
     def __post_init__(self):
         ell = np.asarray(self.illuminant, dtype=np.float64)
-        if ell.shape != (3,) or np.any(ell <= 0):
+        norm = np.linalg.norm(ell) if ell.shape == (3,) else 0.0
+        if not (np.all(ell > 0) and 0 < norm < np.inf):
             raise DataError(f"{self.image_path}: illuminant must be a "
                             f"positive 3-vector, got {ell}")
-        norm = np.linalg.norm(ell)
         if not np.isclose(norm, 1.0, atol=1e-6):
             warnings.warn(f"{self.image_path}: illuminant norm {norm:.6g} "
                           f"re-normalized to 1")
@@ -99,44 +99,67 @@ class DatasetManifest:
         return sorted({s.camera for s in self.samples})
 
 
-def _require(record, key, where):
+def _require(record, key, where, kind=None):
     if key not in record:
         raise DataError(f"{where}: missing key {key!r}")
-    return record[key]
+    value = record[key]
+    if kind is not None and not isinstance(value, kind):
+        raise DataError(f"{where}: {key!r} must be a {kind.__name__}, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def _numbers(record, key, where) -> np.ndarray:
+    """A required number or nested list of numbers, all finite."""
+    value = _require(record, key, where)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{where}: {key!r} must hold numbers") from None
+    if not np.isfinite(arr).all():
+        raise DataError(f"{where}: {key!r} holds a non-finite number")
+    return arr
+
+
+def _number(record, key, where) -> float:
+    arr = _numbers(record, key, where)
+    if arr.shape != ():
+        raise DataError(f"{where}: {key!r} must be a single number")
+    return float(arr)
 
 
 def _parse_camera(record, where) -> CameraProfile:
+    fields = (_numbers(record, "c1", where), _numbers(record, "c2", where),
+              _number(record, "q1", where), _number(record, "q2", where))
     try:
-        return CameraProfile(
-            np.asarray(_require(record, "c1", where), dtype=np.float64),
-            np.asarray(_require(record, "c2", where), dtype=np.float64),
-            float(_require(record, "q1", where)),
-            float(_require(record, "q2", where)),
-            name=_require(record, "camera", where))
+        return CameraProfile(*fields, name=_require(record, "camera", where,
+                                                    str))
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
 
 
 def _parse_image(record, root, where) -> LabeledSample:
-    camera = _require(record, "camera", where)
-    path = os.path.join(root, _require(record, "image", where))
-    mask = record.get("mask")
-    illum = np.asarray(_require(record, "illuminant", where), np.float64)
+    camera = _require(record, "camera", where, str)
+    path = os.path.join(root, _require(record, "image", where, str))
+    mask = _require(record, "mask", where, str) if record.get("mask") else None
+    scene = _require(record, "scene", where, str) \
+        if record.get("scene") is not None else None
+    illum = _numbers(record, "illuminant", where)
     meta = None
     if "meta" in record:
-        m = record["meta"]
+        m = _require(record, "meta", where, dict)
         missing = [k for k in _META_KEYS if k not in m]
         if missing:
             raise DataError(f"{where}: meta missing {missing}")
+        values = {k: _number(m, k, where) for k in _META_KEYS}
         try:
-            meta = CaptureMeta(illuminant=illum, camera=camera,
-                               **{k: float(m[k]) for k in _META_KEYS})
+            meta = CaptureMeta(illuminant=illum, camera=camera, **values)
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from None
     return LabeledSample(
         image_path=path, camera=camera, illuminant=illum,
         mask_path=os.path.join(root, mask) if mask else None,
-        scene=record.get("scene"), meta=meta)
+        scene=scene, meta=meta)
 
 
 def load_dataset(manifest_path, check_files: bool = True) -> DatasetManifest:
@@ -148,7 +171,7 @@ def load_dataset(manifest_path, check_files: bool = True) -> DatasetManifest:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest: {exc}") from None
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -157,8 +180,10 @@ def load_dataset(manifest_path, check_files: bool = True) -> DatasetManifest:
         where = f"{manifest_path}:{ln}"
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also a too-long int
             raise DataError(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{where}: expected a JSON object")
         kind = _require(record, "type", where)
         if kind == "camera":
             profile = _parse_camera(record, where)

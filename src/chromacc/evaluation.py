@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import plans
 from .histograms import HistogramConfig, RawImage, assemble_feature_stack, pixel_uv
 from .hypernet import NetworkWeights, infer_from_stacks
 from .training import angular_error
@@ -124,51 +125,16 @@ def chroma_variance(image: RawImage) -> float:
     return float(np.var(u[valid]) + np.var(v[valid]))
 
 
-def _candidate_pools(samples, policy, pool_size):
-    """Per-query index pools the additional images are drawn from."""
-    cameras = [s.camera for s in samples]
-    if policy in ("vivid", "dull"):
-        variances = [chroma_variance(s.image) for s in samples]
-    pools = []
-    for i in range(len(samples)):
-        if policy == "none":
-            pools.append([])
-            continue
-        if policy == "cross-camera":
-            pool = [j for j in range(len(samples))
-                    if j != i and cameras[j] != cameras[i]]
-            if not pool:
-                raise ValueError("cross-camera policy needs images from "
-                                 "more than one camera")
-            pools.append(pool)
-            continue
-        same = [j for j in range(len(samples))
-                if j != i and cameras[j] == cameras[i]]
-        if policy in ("vivid", "dull"):
-            same.sort(key=lambda j: variances[j], reverse=(policy == "vivid"))
-            same = same[:pool_size]
-        pools.append(same)
-    return pools
-
-
-def _draw(pool, k, rng):
-    """k indices from pool: without replacement when it is big enough,
-    cycling a shuffled order otherwise.  Empty pool draws nothing."""
-    if k == 0 or not pool:
-        return []
-    perm = rng.permutation(len(pool))
-    return [pool[perm[t % len(pool)]] for t in range(k)]
-
-
 def run_eval(weights: NetworkWeights, samples, policy: str = "random",
              repeats: int = 10, rng=None, config: HistogramConfig = None,
-             estimator=None, pool_size: int = VIVID_POOL) -> EvalReport:
+             estimator=None) -> EvalReport:
     """Score an estimator on labeled samples under an additional-image
     policy, repeated with fresh draws.
 
     estimator defaults to the network (weights + histograms); a substitute
-    takes (query RawImage, list of additional RawImages) and returns an
-    illuminant estimate.  "none" runs the network in single-image mode.
+    takes (query RawImage, list of the distinct additional RawImages, not
+    padded to m-1, as c5_infer takes them) and returns an illuminant
+    estimate.  "none" runs the network in single-image mode.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
@@ -179,7 +145,10 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
         raise ValueError("repeats must be >= 1")
     rng = np.random.default_rng(rng)
     extra = 0 if policy == "none" else weights.arch.m - 1
-    pools = _candidate_pools(samples, policy, pool_size)
+    scores = ([chroma_variance(s.image) for s in samples]
+              if policy in ("vivid", "dull") else None)
+    pools = plans.eval_pools([s.camera for s in samples], policy, scores,
+                             VIVID_POOL)
 
     stacks = None
     if estimator is None:
@@ -194,7 +163,7 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     for _ in range(repeats):
         errors = []
         for i, sample in enumerate(samples):
-            adds = _draw(pools[i], extra, rng)
+            adds = plans.draw(pools[i], extra, rng)
             if estimator is None:
                 ell, _, _ = infer_from_stacks(
                     stacks[i], [stacks[j] for j in adds], net)

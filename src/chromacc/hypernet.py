@@ -36,6 +36,7 @@ from .ccc import CCCParams, estimate_illuminant
 from .floatmap import DataError
 from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
                          _stack_array, assemble_feature_stack)
+from .plans import pad
 
 __all__ = [
     "ArchitectureConfig", "NetworkWeights", "init_weights", "param_count",
@@ -48,6 +49,9 @@ DECODER_OUT = {"bias": 1, "filters": 2, "gain": 1}
 
 MAGIC = b"CCWF"
 FORMAT_VERSION = 1
+# largest histogram size a weight file may claim: 16x the paper's 64, whose
+# (n, n, 4) float64 feature stack takes 32 MB
+MAX_N = 1024
 
 
 @dataclass(frozen=True)
@@ -266,18 +270,10 @@ def _params_from_maps(maps, arch, index) -> CCCParams:
 
 
 def _stack_batch(stacks, arch) -> np.ndarray:
-    """Query-first branch list -> (m, 4, n, n), padding cyclically when fewer
-    than m branches are supplied."""
+    """Query-first branch list -> (m, 4, n, n), padded by plans.pad.  The
+    parsed copies are freed on return, before the forward pass."""
     arrs = [_stack_array(s, arch.n) for s in stacks]
-    if not arrs:
-        raise ValueError("need at least the query stack")
-    if len(arrs) > arch.m:
-        raise ValueError(f"got {len(arrs)} branches for m={arch.m}")
-    if len(arrs) < arch.m:
-        pool = arrs[1:] or arrs[:1]  # replicate query when nothing else
-        for i in range(arch.m - len(arrs)):
-            arrs.append(pool[i % len(pool)])
-    return np.stack(arrs)
+    return np.stack(pad(arrs[0], arrs[1:], arch.m))
 
 
 def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
@@ -289,7 +285,7 @@ def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
     arch = weights.arch
     if config is None:
         config = HistogramConfig(n=arch.n)
-    batch = _stack_batch([query_stack] + list(additional_stacks), arch)
+    batch = _stack_batch([query_stack, *additional_stacks], arch)
     maps, _ = forward_maps(batch[None], weights, training=False)
     params = _params_from_maps(maps, arch, 0)
     ell, heat = estimate_illuminant(batch[0], params, config)
@@ -345,10 +341,11 @@ def save_weights(weights: NetworkWeights, path):
 
 def load_weights(path) -> NetworkWeights:
     """Read a file written by save_weights.  Any malformed content -- bad
-    magic or version, a cut-off header or block, an unknown block kind,
-    a block with more axes than numpy allows or more bytes than are left,
-    trailing bytes, a missing or misshapen block, a non-finite value, a
-    negative batch-norm variance -- raises DataError."""
+    magic or version, a histogram size over MAX_N, a cut-off header or
+    block, an unknown block kind, a block with more axes than numpy allows
+    or more bytes than are left, trailing bytes, a missing or misshapen
+    block, a non-finite value, a negative batch-norm variance -- raises
+    DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -367,6 +364,8 @@ def load_weights(path) -> NetworkWeights:
     version, n, m, depth, base, gain = take("<IIIII?3x")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported weight file version {version}")
+    if n > MAX_N:
+        raise DataError(f"histogram size {n} is over the limit of {MAX_N}")
     try:
         arch = ArchitectureConfig(n=n, m=m, depth=depth, base_channels=base,
                                   emit_gain=gain)

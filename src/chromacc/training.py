@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import hypernet as hn
+from . import plans
 from .autodiff import _snap32
 from .ccc import _head_nodes
 from .histograms import HistogramConfig
@@ -152,37 +153,14 @@ def adam_step(weights: hn.NetworkWeights, grads: dict, state: AdamState,
 
 # ----- batch assembly -----------------------------------------------------------
 
-def _camera_groups(samples) -> dict:
-    groups: dict[str, list] = {}
-    for i, s in enumerate(samples):
-        groups.setdefault(s.camera, []).append(i)
-    return groups
-
-
 def sample_batch(samples, query_ids, m: int, rng: np.random.Generator,
                  groups: dict = None):
-    """Attach m-1 same-camera additional stacks to each query.
-
-    When the query's camera has at least m images the additional set is drawn
-    uniformly without replacement, excluding the query; smaller cameras fall
-    back to cycling their other images (or the query itself when it is
-    alone).
-    """
+    """Pair each query with up to m-1 distinct additional ids from its own
+    camera (plans.same_camera); _batch_arrays pads a short list."""
     if groups is None:
-        groups = _camera_groups(samples)
-    batch = []
-    for q in query_ids:
-        q = int(q)
-        group = groups[samples[q].camera]
-        pool = [i for i in group if i != q]
-        if len(group) >= m:
-            extra = list(rng.choice(pool, size=m - 1, replace=False))
-        elif pool:
-            extra = [pool[j % len(pool)] for j in range(m - 1)]
-        else:
-            extra = [q] * (m - 1)
-        batch.append((q, extra))
-    return batch
+        groups = plans.camera_groups([s.camera for s in samples])
+    return plans.same_camera([(int(q), samples[q].camera) for q in query_ids],
+                             groups, m - 1, rng)
 
 
 def iter_epoch(samples, epoch: int, cfg: TrainConfig, m: int,
@@ -191,7 +169,7 @@ def iter_epoch(samples, epoch: int, cfg: TrainConfig, m: int,
     if not samples:
         raise ValueError("empty dataset")
     if groups is None:
-        groups = _camera_groups(samples)
+        groups = plans.camera_groups([s.camera for s in samples])
     order = rng.permutation(len(samples))
     bs = batch_size_at(epoch, cfg)
     for start in range(0, len(order), bs):
@@ -200,7 +178,7 @@ def iter_epoch(samples, epoch: int, cfg: TrainConfig, m: int,
 
 def _batch_arrays(samples, batch, m: int):
     stacks = np.stack([
-        np.stack([samples[q].stack] + [samples[a].stack for a in extra])
+        np.stack([samples[i].stack for i in plans.pad(q, extra, m)])
         for q, extra in batch])
     targets = np.stack([samples[q].illuminant for q, _ in batch])
     return stacks, targets
@@ -278,7 +256,7 @@ class TrainResult:
 def validation_split(samples, fraction: float, rng: np.random.Generator):
     """Hold out ~fraction of each camera's images (at least one, never all).
     Returns (train_ids, val_ids)."""
-    groups = _camera_groups(samples)
+    groups = plans.camera_groups([s.camera for s in samples])
     train_ids, val_ids = [], []
     for cam in sorted(groups):
         ids = np.array(groups[cam])
@@ -289,28 +267,6 @@ def validation_split(samples, fraction: float, rng: np.random.Generator):
         val_ids.extend(int(i) for i in ids[:k])
         train_ids.extend(int(i) for i in ids[k:])
     return sorted(train_ids), sorted(val_ids)
-
-
-def _validation_plan(samples, train_ids, val_ids, m: int,
-                     rng: np.random.Generator):
-    """Fix each validation query's additional set once, drawn from the same
-    camera's training images, so epoch-to-epoch comparisons see only weight
-    changes."""
-    train_groups: dict[str, list] = {}
-    for i in train_ids:
-        train_groups.setdefault(samples[i].camera, []).append(i)
-    plan = []
-    for q in val_ids:
-        pool = train_groups.get(samples[q].camera, [])
-        if len(pool) >= m - 1:
-            extra = list(rng.choice(pool, size=m - 1, replace=False)) \
-                if m > 1 else []
-        elif pool:
-            extra = [pool[j % len(pool)] for j in range(m - 1)]
-        else:
-            extra = [q] * (m - 1)
-        plan.append((q, extra))
-    return plan
 
 
 def _validation_error(samples, plan, weights) -> float:
@@ -342,8 +298,13 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
 
     train_ids, val_ids = validation_split(samples, cfg.val_fraction, rng)
     train_set = [samples[i] for i in train_ids]
-    groups = _camera_groups(train_set)
-    val_plan = _validation_plan(samples, train_ids, val_ids, arch.m, rng)
+    groups = plans.camera_groups([s.camera for s in train_set])
+    # each validation query's additional set is fixed once, from its
+    # camera's training images, so epochs differ only in the weights
+    cameras = [s.camera for s in samples]
+    val_plan = plans.same_camera([(q, cameras[q]) for q in val_ids],
+                                 plans.camera_groups(cameras, train_ids),
+                                 arch.m - 1, rng)
 
     total_steps = sum(ceil(len(train_set) / batch_size_at(e, cfg))
                       for e in range(1, cfg.epochs + 1))

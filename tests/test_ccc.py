@@ -227,6 +227,22 @@ def test_estimate_illuminant_peaked_bias():
     assert np.linalg.norm(ell) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_estimate_illuminant_defaults_to_the_parameters_grid():
+    # n = 16: the default grid is the parameters' size, not 64
+    cfg = HistogramConfig(n=16)
+    h = np.zeros((16, 16))
+    h[3, 5] = 1.0
+    stack = _stack_with_hist(h, cfg)
+    rng = np.random.default_rng(3)
+    params = CCCParams(rng.normal(size=(16, 16)),
+                       rng.normal(size=(2, 16, 16)))
+    ell, p = estimate_illuminant(stack, params)
+    want_ell, want_p = estimate_illuminant(stack, params, cfg)
+    assert np.array_equal(ell, want_ell) and np.array_equal(p, want_p)
+    with pytest.raises(ValueError, match="histogram size 64 does not match"):
+        estimate_illuminant(stack, params, HistogramConfig())
+
+
 def test_ccc_params_validation():
     with pytest.raises(ValueError):
         CCCParams(np.zeros((4, 5)), np.zeros((2, 4, 4)))

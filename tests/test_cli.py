@@ -224,6 +224,8 @@ def _corrupt_weights(raw: bytes, fault: str) -> bytes:
         return raw[:12]
     if fault == "trailing-bytes":
         return raw + b"\x00junk"
+    if fault == "n-65536":  # a (65536, 65536, 4) stack takes 128 GiB
+        return raw[:8] + struct.pack("<I", 65536) + raw[12:]
     first = raw.index(b"enc1.conv.w") + len("enc1.conv.w")  # its ndim byte
     ndim = raw[first]
     if fault == "block-past-end":  # every axis of the first block 2^32 - 1
@@ -243,7 +245,7 @@ def _corrupt_weights(raw: bytes, fault: str) -> bytes:
 @pytest.mark.parametrize("fault", ["cut-in-half", "cut-in-header",
                                    "trailing-bytes", "nan-weight",
                                    "inf-weight", "negative-variance",
-                                   "block-past-end", "65-axes"])
+                                   "block-past-end", "65-axes", "n-65536"])
 def test_damaged_weight_file_exits_2(workspace, tmp_path, capsys, fault):
     query = load_dataset(workspace["alpha"] / "manifest.jsonl") \
         .samples[0].image_path
@@ -277,5 +279,34 @@ def test_image_float_count_overflow_exits_2(workspace, tmp_path, capsys):
     bad = tmp_path / "huge.pfm"
     bad.write_bytes(b"PF\n99999999999999999999 1\n-1\n" + b"\x00" * 12)
     assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err
+
+
+_IMAGE_RECORD = ('{"type": "image", "camera": "c", "image": "a.pfm", '
+                 '"illuminant": [0.5, 0.7071067811865476, 0.5]}')
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("3\n", id="number-line"),
+    pytest.param('{"type": "camera", "camera": ["a"], "q1": 2856, "q2": 6504, '
+                 '"c1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+                 '"c2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}\n',
+                 id="camera-name-list"),
+    pytest.param(_IMAGE_RECORD.replace('"a.pfm"', "5") + "\n",
+                 id="image-path-number"),
+    pytest.param(_IMAGE_RECORD.replace("[0.5, 0.7071067811865476, 0.5]",
+                                       '"abc"') + "\n",
+                 id="illuminant-string"),
+    pytest.param(b'{"type": "camera", "camera": "\xff"}\n', id="not-utf8"),
+])
+def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, text):
+    manifest = tmp_path / "m.jsonl"
+    if isinstance(text, bytes):
+        manifest.write_bytes(text)
+    else:
+        manifest.write_text(text)
+    assert main(["train", str(workspace["config"]), "--data", str(manifest),
+                 "--out", str(tmp_path / "w.ccw")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and "Traceback" not in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,84 @@ def test_manifest_parse_errors(tmp_path):
     check("# header\n\n" + profile_line + "\nnope\n", "4")
     with pytest.raises(DataError):
         load_dataset(tmp_path / "absent.jsonl")
+
+
+def _records():
+    camera = {"type": "camera", "camera": "c", "q1": 2856, "q2": 6504,
+              "c1": np.eye(3).tolist(), "c2": np.eye(3).tolist()}
+    image = {"type": "image", "camera": "c", "image": "a.pfm",
+             "illuminant": [0.5, 0.7071067811865476, 0.5], "scene": "s",
+             "meta": {"iso": 100.0, "aperture": 2.8, "exposure_time": 0.01,
+                      "baseline_exposure": 0.5, "baseline_noise": 1.5}}
+    return camera, image
+
+
+def _changed(record, key, value, inner=None):
+    out = dict(record)
+    if inner is None:
+        out[key] = value
+    else:
+        out[key] = dict(out[key], **{inner: value})
+    return out
+
+
+def _manifest_text(camera, image):
+    return json.dumps(camera) + "\n" + json.dumps(image) + "\n"
+
+
+_CAMERA, _IMAGE = _records()
+MALFORMED_MANIFESTS = {
+    "bare-number-line": "3\n",
+    "list-line": "[1, 2]\n",
+    "camera-name-list": _manifest_text(_changed(_CAMERA, "camera", ["a"]),
+                                       _IMAGE),
+    "q1-list": _manifest_text(_changed(_CAMERA, "q1", [2856]), _IMAGE),
+    "c1-nan": _manifest_text(_changed(_CAMERA, "c1", [[float("nan")] * 3] * 3),
+                             _IMAGE),
+    "image-camera-list": _manifest_text(_CAMERA,
+                                        _changed(_IMAGE, "camera", ["c"])),
+    "image-path-number": _manifest_text(_CAMERA, _changed(_IMAGE, "image", 5)),
+    "mask-path-number": _manifest_text(_CAMERA, _changed(_IMAGE, "mask", 5)),
+    "scene-list": _manifest_text(_CAMERA, _changed(_IMAGE, "scene", [1])),
+    "illuminant-string": _manifest_text(
+        _CAMERA, _changed(_IMAGE, "illuminant", "abc")),
+    "illuminant-nan": _manifest_text(
+        _CAMERA, _changed(_IMAGE, "illuminant", [float("nan"), 1.0, 1.0])),
+    "illuminant-norm-overflow": _manifest_text(
+        _CAMERA, _changed(_IMAGE, "illuminant", [1e308] * 3)),
+    "illuminant-huge-int": _manifest_text(
+        _CAMERA, _changed(_IMAGE, "illuminant", [10 ** 400, 1, 1])),
+    "meta-number": _manifest_text(_CAMERA, _changed(_IMAGE, "meta", 3)),
+    "meta-value-list": _manifest_text(
+        _CAMERA, _changed(_IMAGE, "meta", [100.0], inner="iso")),
+    "meta-value-nan": _manifest_text(
+        _CAMERA, _changed(_IMAGE, "meta", float("nan"),
+                          inner="baseline_exposure")),
+    "int-past-digit-limit": '{"type": "camera", "q1": 1%s}\n' % ("0" * 5000),
+    "deep-nesting": "[" * 100000 + "\n",
+    "not-utf8": b'{"type": "camera", "camera": "\xff"}\n',
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_raises_data_error(tmp_path, fault):
+    _write_image(tmp_path / "a.pfm")
+    path = tmp_path / "m.jsonl"
+    text = MALFORMED_MANIFESTS[fault]
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(DataError):
+        load_dataset(path)
+
+
+def test_valid_records_of_the_malformed_cases_load(tmp_path):
+    _write_image(tmp_path / "a.pfm")
+    path = tmp_path / "m.jsonl"
+    path.write_text(_manifest_text(*_records()))
+    [sample] = load_dataset(path).samples
+    assert sample.scene == "s" and sample.meta.iso == 100.0
 
 
 def test_check_files_can_be_disabled(tmp_path):

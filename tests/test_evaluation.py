@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromacc import evaluation
 from chromacc.evaluation import (EvalReport, EvalSample, EvalStats,
                                  chroma_variance, eval_stats, format_report,
                                  gray_world, run_eval)
@@ -168,11 +169,12 @@ def test_policies_draw_from_the_right_cameras(policy, check):
                 assert a_cam != q_cam
 
 
-def test_vivid_and_dull_rank_by_colorfulness():
+def test_vivid_and_dull_rank_by_colorfulness(monkeypatch):
+    monkeypatch.setattr(evaluation, "VIVID_POOL", 2)
     samples = _sample_set(cameras=1, per_camera=4)
     rec = _Recorder()
     run_eval(_tiny_weights(), samples, policy="vivid", repeats=3,
-             rng=0, estimator=rec, pool_size=2)
+             rng=0, estimator=rec)
     # image index tracks chroma spread, so the vivid pool is the two
     # highest indices among the other images
     for (_, q_idx), adds in rec.calls:
@@ -181,7 +183,7 @@ def test_vivid_and_dull_rank_by_colorfulness():
         assert {a for _, a in adds} <= set(expected)
     rec = _Recorder()
     run_eval(_tiny_weights(), samples, policy="dull", repeats=3,
-             rng=0, estimator=rec, pool_size=2)
+             rng=0, estimator=rec)
     for (_, q_idx), adds in rec.calls:
         expected = sorted(i for i in range(4) if i != q_idx)[:2]
         assert {a for _, a in adds} <= set(expected)

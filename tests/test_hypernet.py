@@ -410,6 +410,21 @@ def test_load_rejects_damaged_architecture_cheaply(tmp_path, field, value):
         hn.load_weights(path)
 
 
+def test_load_caps_the_histogram_size(tmp_path):
+    # no block's shape depends on n, so a patched n loads unless capped,
+    # and inference then asks for an (n, n, 4) stack
+    path = tmp_path / "model.ccwf"
+    hn.save_weights(tiny_weights(), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 8, hn.MAX_N)
+    path.write_bytes(bytes(raw))
+    assert hn.load_weights(path).arch.n == hn.MAX_N == 1024
+    struct.pack_into("<I", raw, 8, 2 * hn.MAX_N)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="histogram size 2048"):
+        hn.load_weights(path)
+
+
 def test_load_rejects_non_finite_values_and_negative_variance(tmp_path):
     path = tmp_path / "model.ccwf"
     for fault in ("nan", "inf", "negative-variance"):

@@ -3,6 +3,7 @@ import pytest
 
 import chromacc.autodiff as ad
 import chromacc.hypernet as hn
+import chromacc.plans as plans
 import chromacc.training as tr
 from chromacc.histograms import HistogramConfig
 
@@ -216,7 +217,8 @@ def test_sample_batch_lonely_camera_replicates_query():
     samples = [tr.TrainingSample(rng.random((4, 8, 8)), [1, 1, 1], "solo")]
     [(q, extra)] = tr.sample_batch(samples, [0], m=3,
                                    rng=np.random.default_rng(7))
-    assert (q, extra) == (0, [0, 0])
+    assert (q, extra) == (0, [])
+    assert plans.pad(q, extra, 3) == [0, 0, 0]
 
 
 def test_sample_batch_small_camera_cycles_others():
@@ -225,8 +227,8 @@ def test_sample_batch_small_camera_cycles_others():
                for _ in range(2)]
     [(q, extra)] = tr.sample_batch(samples, [0], m=5,
                                    rng=np.random.default_rng(9))
-    assert q == 0
-    assert extra == [1, 1, 1, 1]
+    assert (q, extra) == (0, [1])
+    assert plans.pad(q, extra, 5) == [0, 1, 1, 1, 1]
 
 
 def test_epoch_covers_every_query_once_and_is_seeded():
