@@ -3,8 +3,10 @@
 Everything is float64.  A Node wraps one array value; ops build new Nodes
 and register, per parent, a vector-Jacobian closure mapping the upstream
 gradient to that parent's gradient contribution.  backward() walks the tape
-in reverse topological order.  Graph construction is deterministic: the same
-inputs produce bit-identical values and gradients.
+in reverse topological order.  A graph built on const leaves alone (the
+inference path) keeps no closures: each Node drops them as it is made, and
+ops skip the work only their VJP needs.  Graph construction is
+deterministic: the same inputs produce bit-identical values and gradients.
 
 The op set is exactly what the filter-generating network and its training
 loss require; this is not a general-purpose autodiff.
@@ -43,7 +45,9 @@ class Node:
     """One value on the tape.
 
     parents is a sequence of (parent_node, vjp) pairs; vjp(g) returns the
-    gradient contribution to that parent given this node's gradient g.
+    gradient contribution to that parent given this node's gradient g.  When
+    no parent needs a gradient the node keeps none of them, so the closures
+    and the arrays they capture are freed once the value exists.
     """
 
     __slots__ = ("value", "grad", "parents", "needs_grad")
@@ -51,10 +55,11 @@ class Node:
     def __init__(self, value, parents=(), needs_grad=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.parents = tuple(parents)
+        parents = tuple(parents)
         if needs_grad is None:
-            needs_grad = any(p.needs_grad for p, _ in self.parents)
+            needs_grad = any(p.needs_grad for p, _ in parents)
         self.needs_grad = needs_grad
+        self.parents = parents if needs_grad else ()
 
     @property
     def shape(self):
@@ -142,9 +147,10 @@ def reshape(a: Node, shape) -> Node:
 def concat_channels(nodes) -> Node:
     """Concatenate along axis 1 (the channel axis of (B, C, H, W))."""
     nodes = list(nodes)
-    widths = [nd.value.shape[1] for nd in nodes]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
     value = np.concatenate([nd.value for nd in nodes], axis=1)
+    if not any(nd.needs_grad for nd in nodes):
+        return Node(value)
+    offsets = np.cumsum([0] + [nd.value.shape[1] for nd in nodes])
 
     def make_vjp(i):
         lo, hi = offsets[i], offsets[i + 1]
@@ -184,6 +190,8 @@ def take_rows(a: Node, idx) -> Node:
         value = a.value[idx[0]:idx[-1] + 1:step]
     else:
         value = a.value[idx]
+    if not a.needs_grad:
+        return Node(value)
     order = np.argsort(idx, kind="stable")
     ranked = idx[order]
     starts = np.flatnonzero(np.diff(ranked, prepend=-1))
@@ -207,6 +215,8 @@ def branch_max(a: Node, m: int) -> Node:
         raise ValueError(f"leading axis {bm} not divisible by m={m}")
     grouped = a.value.reshape(bm // m, m, *a.value.shape[1:])
     value = grouped.max(axis=1)
+    if not a.needs_grad:
+        return Node(value)
     idx = grouped.argmax(axis=1)  # first max in branch order
 
     def vjp(g):
@@ -218,9 +228,13 @@ def branch_max(a: Node, m: int) -> Node:
 
 
 def leaky_relu(a: Node, slope: float = 0.2) -> Node:
-    pos = a.value > 0
+    av = a.value
+    pos = av > 0
+    value = np.where(pos, av, av * slope)  # av * 1.0 == av exactly
+    if not a.needs_grad:
+        return Node(value)
     mult = np.where(pos, 1.0, slope)
-    return Node(a.value * mult, [(a, lambda g: g * mult)])
+    return Node(value, [(a, lambda g: g * mult)])
 
 
 # ----- convolution ------------------------------------------------------------
@@ -248,14 +262,21 @@ def _patches(xp: np.ndarray):
     """Yield (lo, hi, cols) over chunks xp[lo:hi] of the batch: cols is the
     (Cin*9, Bc*Ho*Wo) patch matrix, rows ordered (channel, dy, dx) to match
     w.reshape(Cout, Cin*9), and within _COLS_BYTES unless one sample alone
-    exceeds it."""
+    exceeds it.
+
+    Each chunk's (Cin, 3, 3, Bc, Ho, Wo) window view is made directly from
+    xp's strides: sliding_window_view costs ~20 us a call, an ndarray view
+    ~2 us, and a B=1 forward pass makes one per conv.
+    """
     b, cin, h, wd = xp.shape
+    xp = np.ascontiguousarray(xp)  # the view below reads xp's buffer
+    sb, sc, sh, sw = xp.strides
     step = max(1, _COLS_BYTES // (cin * 9 * (h - 2) * (wd - 2) * 8))
     for lo in range(0, b, step):
         hi = min(lo + step, b)
-        win = np.lib.stride_tricks.sliding_window_view(
-            xp[lo:hi], (3, 3), axis=(2, 3))
-        yield lo, hi, win.transpose(1, 4, 5, 0, 2, 3).reshape(cin * 9, -1)
+        win = np.ndarray((cin, 3, 3, hi - lo, h - 2, wd - 2), np.float64, xp,
+                         lo * sb, (sc, sh, sw, sb, sh, sw))
+        yield lo, hi, win.reshape(cin * 9, -1)
 
 
 def _pad(a: np.ndarray, p: int) -> np.ndarray:
@@ -405,9 +426,13 @@ def instance_norm(x: Node, gamma: Node, beta: Node) -> Node:
     xv = x.value
     axes = (2, 3)
     mu = xv.mean(axis=axes, keepdims=True)
-    var = xv.var(axis=axes, keepdims=True)
+    centered = xv - mu
+    # np.var's arithmetic (square, sum, divide by the count) on the one
+    # centered copy
+    var = np.square(centered).sum(axis=axes, keepdims=True) \
+        / (xv.shape[2] * xv.shape[3])
     sigma = np.sqrt(var + BN_EPS)
-    xhat = (xv - mu) / sigma
+    xhat = centered / sigma
     gm = gamma.value[None, :, None, None]
     value = gm * xhat + beta.value[None, :, None, None]
 
@@ -426,22 +451,42 @@ def instance_norm(x: Node, gamma: Node, beta: Node) -> Node:
 
 # ----- resampling -------------------------------------------------------------
 
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
+
+
 def max_pool2(x: Node) -> Node:
     """2x2 max pooling, stride 2; ties pick the first entry in row-major
-    window order (so the gradient routing is deterministic)."""
-    b, c, h, w = x.value.shape
+    window order (so the gradient routing is deterministic).
+
+    The four window entries are read as strided quadrants of x, and a later
+    entry replaces the running maximum only when strictly greater (or NaN
+    over a number), so the first maximum and the first NaN win, as with
+    argmax: -0.0 before +0.0 stays -0.0, where np.maximum's SIMD loop
+    gives +0.0.
+    """
+    xv = x.value
+    b, c, h, w = xv.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even, got {h}x{w}")
-    win = x.value.reshape(b, c, h // 2, 2, w // 2, 2) \
-                 .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    value = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    value = xv[:, :, 0::2, 0::2]
+    idx = np.zeros(value.shape, dtype=np.int8) if x.needs_grad else None
+    nan = np.isnan(xv).any()  # the NaN rule costs 3 passes; skip it if none
+    for k, (i, j) in enumerate(_QUADRANTS[1:], start=1):
+        q = xv[:, :, i::2, j::2]
+        take = q > value
+        if nan:
+            take |= np.isnan(q) & ~np.isnan(value)
+        value = np.where(take, q, value)
+        if idx is not None:
+            idx[take] = k
+    if idx is None:
+        return Node(value)
 
     def vjp(g):
-        gw = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        return gw.reshape(b, c, h // 2, w // 2, 2, 2) \
-                 .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+        out = np.zeros((b, c, h, w))
+        for k, (i, j) in enumerate(_QUADRANTS):
+            out[:, :, i::2, j::2] = np.where(idx == k, g, 0.0)
+        return out
 
     return Node(value, [(x, vjp)])
 

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -91,7 +92,11 @@ def cmd_infer(args) -> int:
     weights = load_weights(args.weights)
     query = read_raw_image(args.query, args.mask)
     additional = [read_raw_image(p) for p in args.additional]
-    ell, params, heat = c5_infer(query, additional, weights)
+    with warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always")
+        ell, params, heat = c5_infer(query, additional, weights)
+    for note in notes:
+        print(f"note: {note.message}", file=sys.stderr)
     print(" ".join(f"{v:.8f}" for v in ell))
     if args.heat:
         write_pfm(args.heat, heat)

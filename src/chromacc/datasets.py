@@ -65,8 +65,8 @@ class LabeledSample:
 def read_raw_image(image_path, mask_path=None, working_res=None) -> RawImage:
     """Read a 3-channel float map and optional mask (> 0.5 is valid) as a
     RawImage, resized to working_res (rows, cols) unless None.  Negative
-    values clip to zero; pixels RawImage rejects (non-finite) are a
-    DataError."""
+    values clip to zero; pixels RawImage rejects (non-finite, or above
+    float32's maximum after the header's scale) are a DataError."""
     data = read_pfm(image_path)
     if data.ndim != 3:
         raise DataError(f"{image_path}: expected a 3-channel image")

@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# largest pixel value: float32's maximum, the most a float map can hold
+PIXEL_MAX = float(np.finfo(np.float32).max)
+
+
 class EmptyHistogramError(ValueError):
     """No valid pixel survived masking/positivity checks."""
 
@@ -86,8 +90,10 @@ class HistogramConfig:
 class RawImage:
     """Linear raw image, (H, W, 3) float64, plus a boolean valid-pixel mask.
 
-    Pixel values must be finite and non-negative; zero-valued components are
-    legal but such pixels are dropped from chroma statistics.
+    Pixel values must be finite, non-negative and at most float32's largest
+    value, the most a float map can hold (the brightness weight of larger
+    ones overflows); zero-valued components are legal but such pixels are
+    dropped from chroma statistics.
     """
 
     pixels: np.ndarray
@@ -101,6 +107,8 @@ class RawImage:
             raise ValueError("pixels must be finite")
         if np.any(self.pixels < 0):
             raise ValueError("pixels must be non-negative")
+        if np.any(self.pixels > PIXEL_MAX):
+            raise ValueError(f"pixels must be at most {PIXEL_MAX:.6g}")
         if self.mask is None:
             self.mask = np.ones(self.pixels.shape[:2], dtype=bool)
         else:
@@ -277,15 +285,22 @@ def assemble_feature_stack(image: RawImage,
     """Full 4-channel network input for one image.  Both histogram channels
     read one log of the image; raises EmptyHistogramError as build_histogram
     does for the pixel channel."""
-    n = config.n
     px, logp, ok = _log_image(image)
-    data = np.zeros((n, n, 4), dtype=np.float64)
+    data = _coordinate_planes(config)
     data[:, :, 0] = _channel(_pixel_entries(px, logp, ok), config, "pixels")
     data[:, :, 1] = _channel(_gradient_entries(logp, ok), config, "gradients")
+    return ChromaHistogram(data, config)
+
+
+def _coordinate_planes(config: HistogramConfig) -> np.ndarray:
+    """(n, n, 4) feature stack with both histogram channels zero: the u and
+    v coordinate planes alone."""
+    n = config.n
+    data = np.zeros((n, n, 4), dtype=np.float64)
     c = config.centers()
     data[:, :, 2] = c[None, :]   # u varies along columns
     data[:, :, 3] = c[:, None]   # v varies along rows
-    return ChromaHistogram(data, config)
+    return data
 
 
 def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

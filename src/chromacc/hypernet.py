@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,8 @@ from .autodiff import _snap32
 from .ccc import CCCParams, estimate_illuminant
 from .floatmap import DataError
 from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
-                         _stack_array, assemble_feature_stack)
+                         _coordinate_planes, _stack_array,
+                         assemble_feature_stack)
 from .plans import pad
 
 __all__ = [
@@ -174,7 +176,8 @@ def forward_maps(stacks: np.ndarray, weights: NetworkWeights, training: bool,
     holds one Node per decoder: bias (B, 1, n, n), filters (B, 2, n, n),
     gain (B, 1, n, n) when emitted.  Passing param_nodes reuses existing leaf
     Nodes so callers (optimizer, gradient checks) keep stable identities
-    across rebuilt graphs.
+    across rebuilt graphs; inference passes const leaves, and its graph
+    then keeps no backward state.
 
     Level 1 of the encoder runs once per distinct branch image of the batch
     (byte-equal rows share one run) and take_rows hands each branch its
@@ -286,7 +289,9 @@ def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
     if config is None:
         config = HistogramConfig(n=arch.n)
     batch = _stack_batch([query_stack, *additional_stacks], arch)
-    maps, _ = forward_maps(batch[None], weights, training=False)
+    # constant leaves: no node of the graph keeps backward state
+    leaves = {k: ad.const(v) for k, v in weights.params.items()}
+    maps, _ = forward_maps(batch[None], weights, False, leaves)
     params = _params_from_maps(maps, arch, 0)
     ell, heat = estimate_illuminant(batch[0], params, config)
     return ell, params, heat
@@ -299,13 +304,22 @@ def c5_infer(query: RawImage, additional, weights: NetworkWeights,
 
     An additional image with no pixel inside the log-chroma domain is
     dropped.  Fewer than m-1 remaining additional images are replicated
-    cyclically; with none, the query stands in for them.  An empty query
-    raises EmptyHistogramError.
+    cyclically; with none, the query stands in for them.
+
+    A query with no such pixel has no evidence: its two histogram channels
+    are zero (the coordinate planes stay), so the heat map is softmax(B) of
+    the bias map the network makes from the additional images, CCC's
+    no-evidence posterior.  A UserWarning says so.
     """
     arch = weights.arch
     if config is None:
         config = HistogramConfig(n=arch.n)
-    qs = assemble_feature_stack(query, config)
+    try:
+        qs = assemble_feature_stack(query, config)
+    except EmptyHistogramError:
+        warnings.warn("the query has no pixel inside the log-chroma domain; "
+                      "the estimate is the network's prior", stacklevel=2)
+        qs = _coordinate_planes(config)
     extra = []
     for img in additional:
         try:

@@ -106,8 +106,11 @@ def test_infer_drops_empty_additional_image(workspace, tmp_path, capsys):
     alone = capsys.readouterr().out
     assert main(["infer", weights, query, good, str(dark)]) == 0
     assert capsys.readouterr().out == alone
-    assert main(["infer", weights, str(dark), good]) == 2
-    assert "data error" in capsys.readouterr().err
+    # an empty query yields the network's prior, noted on stderr
+    assert main(["infer", weights, str(dark), good]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.split()) == 3 and "nan" not in out
+    assert "note:" in err and "prior" in err
 
 
 def test_augment_builds_target_space_dataset(workspace):
@@ -263,6 +266,17 @@ def test_non_finite_pixel_exits_2(workspace, tmp_path, capsys):
     write_pfm(bad, pixels)
     assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_pixel_past_float32_range_exits_2(workspace, tmp_path, capsys):
+    # float32 payload times a huge header scale: finite float64 pixels whose
+    # brightness weight overflows (the estimate was NaN, exit 0)
+    bad = tmp_path / "bright.pfm"
+    write_pfm(bad, np.full((8, 8, 3), 1e30) * [1.0, 2.0, 3.0])
+    bad.write_bytes(bad.read_bytes().replace(b"-1.0\n", b"-1e130\n", 1))
+    assert main(["infer", str(workspace["weights"]), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "at most" in err
 
 
 def test_trailing_bytes_in_image_exit_2(workspace, tmp_path, capsys):

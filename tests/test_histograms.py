@@ -233,6 +233,13 @@ def test_raw_image_validation():
         RawImage(np.full((4, 4, 3), np.nan))
     with pytest.raises(ValueError):
         RawImage(np.ones((4, 4, 3)), np.ones((2, 2), dtype=bool))
+    # finite but past float32's maximum: the brightness weight would
+    # overflow into a NaN stack and a NaN estimate
+    with pytest.raises(ValueError, match="at most"):
+        RawImage(np.full((8, 8, 3), 1e200) * [1, 2, 3])
+    top = float(np.finfo(np.float32).max)
+    assert np.isfinite(assemble_feature_stack(
+        RawImage(np.full((8, 8, 3), top) * [0.25, 0.5, 1.0])).data).all()
 
 
 # ----- bit-identity against the reference implementation -----

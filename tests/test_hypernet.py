@@ -9,7 +9,7 @@ import chromacc.autodiff as ad
 import chromacc.ccc as ccc
 import chromacc.hypernet as hn
 from chromacc.floatmap import DataError
-from chromacc.histograms import (EmptyHistogramError, HistogramConfig, RawImage,
+from chromacc.histograms import (HistogramConfig, RawImage,
                                  assemble_feature_stack)
 
 
@@ -190,8 +190,19 @@ def test_c5_infer_drops_empty_additional_images():
     # with every additional image empty, the query stands in for them
     only = hn.c5_infer(query, [empty, empty], w)
     assert np.array_equal(only[0], hn.c5_infer(query, [], w)[0])
-    with pytest.raises(EmptyHistogramError):
-        hn.c5_infer(empty, [good], w)
+    # an empty query has no evidence: the heat map is softmax(B) of the bias
+    # map the network makes from a planes-only query and the additional
+    # images
+    with pytest.warns(UserWarning, match="prior"):
+        ell, params, heat = hn.c5_infer(empty, [good], w)
+    assert np.array_equal(
+        heat, ad.softmax2d(ad.const(params.bias[None])).value[0])
+    good_stack = assemble_feature_stack(good, HistogramConfig(n=16))
+    planes = good_stack.data.copy()
+    planes[..., :2] = 0.0
+    want = hn.infer_from_stacks(planes, [good_stack], w)
+    assert np.array_equal(ell, want[0])
+    assert np.array_equal(params.bias, want[1].bias)
 
 
 # ----- level 1 runs once per distinct branch image -----

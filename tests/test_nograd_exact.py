@@ -1,0 +1,300 @@
+"""The no-grad inference path and the ops' fast paths are exact.
+
+Frozen below are the op definitions that the fast paths replaced: max_pool2
+through a reshaped window copy and argmax, leaky_relu through a multiplier
+array, instance_norm through np.var, the window view of _patches through
+sliding_window_view, and branch_max, take_rows and concat_channels doing
+their VJP set-up on every call.  Values and VJPs must match them bit for
+bit (signed zeros and NaN payloads included), for inputs that do and do not
+need a gradient, on ties, at B=1 and on non-contiguous views.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from chromacc import autodiff as ad
+from chromacc import hypernet as hn
+
+# ----- frozen reference ops ---------------------------------------------------
+
+
+def frozen_max_pool2(x):
+    b, c, h, w = x.value.shape
+    win = x.value.reshape(b, c, h // 2, 2, w // 2, 2) \
+                 .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    value = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        gw = np.zeros((b, c, h // 2, w // 2, 4))
+        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+        return gw.reshape(b, c, h // 2, w // 2, 2, 2) \
+                 .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+
+    return value, [vjp]
+
+
+def frozen_branch_max(a, m):
+    bm = a.value.shape[0]
+    grouped = a.value.reshape(bm // m, m, *a.value.shape[1:])
+    value = grouped.max(axis=1)
+    idx = grouped.argmax(axis=1)
+
+    def vjp(g):
+        out = np.zeros_like(grouped)
+        np.put_along_axis(out, idx[:, None], g[:, None], axis=1)
+        return out.reshape(a.value.shape)
+
+    return value, [vjp]
+
+
+def frozen_take_rows(a, idx):
+    idx = np.asarray(idx, dtype=np.intp)
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if len(idx) and step > 0 and (np.diff(idx) == step).all():
+        value = a.value[idx[0]:idx[-1] + 1:step]
+    else:
+        value = a.value[idx]
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    rows = ranked[starts]
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[rows] = np.add.reduceat(g[order], starts, axis=0)
+        return out
+
+    return value, [vjp]
+
+
+def frozen_leaky_relu(a, slope=0.2):
+    pos = a.value > 0
+    mult = np.where(pos, 1.0, slope)
+    return a.value * mult, [lambda g: g * mult]
+
+
+def frozen_instance_norm(x, gamma, beta):
+    xv = x.value
+    axes = (2, 3)
+    mu = xv.mean(axis=axes, keepdims=True)
+    var = xv.var(axis=axes, keepdims=True)
+    sigma = np.sqrt(var + ad.BN_EPS)
+    xhat = (xv - mu) / sigma
+    gm = gamma.value[None, :, None, None]
+    value = gm * xhat + beta.value[None, :, None, None]
+
+    def vjp_x(g):
+        dxhat = g * gm
+        mean_d = dxhat.mean(axis=axes, keepdims=True)
+        mean_dx = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        return (dxhat - mean_d - xhat * mean_dx) / sigma
+
+    return value, [vjp_x, lambda g: (g * xhat).sum(axis=(0, 2, 3)),
+                   lambda g: g.sum(axis=(0, 2, 3))]
+
+
+def frozen_concat_channels(nodes):
+    widths = [nd.value.shape[1] for nd in nodes]
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    value = np.concatenate([nd.value for nd in nodes], axis=1)
+
+    def make_vjp(i):
+        lo, hi = offsets[i], offsets[i + 1]
+        return lambda g: g[:, lo:hi]
+
+    return value, [make_vjp(i) for i in range(len(nodes))]
+
+
+def frozen_patches(xp):
+    b, cin, h, wd = xp.shape
+    step = max(1, ad._COLS_BYTES // (cin * 9 * (h - 2) * (wd - 2) * 8))
+    for lo in range(0, b, step):
+        hi = min(lo + step, b)
+        win = np.lib.stride_tricks.sliding_window_view(
+            xp[lo:hi], (3, 3), axis=(2, 3))
+        yield lo, hi, win.transpose(1, 4, 5, 0, 2, 3).reshape(cin * 9, -1)
+
+
+# ----- helpers ------------------------------------------------------------------
+
+# few distinct values, so windows, branch groups and rows often tie; -0.0
+# against +0.0 is the tie np.maximum gets wrong
+TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0])
+FLOATS = st.floats(-4.0, 4.0, allow_nan=False, width=64)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def maybe_strided(data, arr):
+    """arr itself, or a non-contiguous view holding the same values."""
+    if not data.draw(st.booleans(), label="strided"):
+        return arr
+    host = np.full(arr.shape[:-1] + (2 * arr.shape[-1],), 7.0)
+    host[..., ::2] = arr
+    return host[..., ::2]
+
+
+def draw_array(data, shape, elements):
+    arr = data.draw(hnp.arrays(np.float64, shape, elements=elements),
+                    label="array")
+    return maybe_strided(data, arr)
+
+
+def check_op(new_op, frozen_op, arrays, data, seed=0):
+    """new_op on const and on param leaves against frozen_op on param
+    leaves: values, VJPs for one random upstream gradient, and no parents
+    on the const path."""
+    const = new_op(*[ad.const(a) for a in arrays])
+    assert const.parents == ()
+    leaves = [ad.param(a) for a in arrays]
+    node = new_op(*leaves)
+    want, vjps = frozen_op(*leaves)
+    assert_bits(const.value, want)
+    assert_bits(node.value, want)
+    g = np.random.default_rng(seed).normal(size=want.shape)
+    g[..., :1] = -0.0
+    assert [p for p, _ in node.parents] == leaves
+    for (_, vjp), frozen_vjp in zip(node.parents, vjps):
+        assert_bits(vjp(g), frozen_vjp(g))
+
+
+# ----- the ops ------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4),
+       w=st.integers(1, 4), nan=st.booleans(), data=st.data())
+def test_max_pool2_matches_argmax_path(b, c, h, w, nan, data):
+    elements = st.one_of(TIES, FLOATS, st.just(np.nan)) if nan \
+        else st.one_of(TIES, FLOATS)
+    x = draw_array(data, (b, c, 2 * h, 2 * w), elements)
+    check_op(ad.max_pool2, frozen_max_pool2, [x], data)
+
+
+def test_max_pool2_keeps_the_first_signed_zero():
+    x = np.array([-0.0, 0.0, 0.0, -0.0]).reshape(1, 1, 2, 2)
+    assert np.signbit(ad.max_pool2(ad.const(x)).value).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), m=st.integers(1, 4), c=st.integers(1, 3),
+       data=st.data())
+def test_branch_max_matches_argmax_path(b, m, c, data):
+    x = draw_array(data, (b * m, c, 2, 3), st.one_of(TIES, FLOATS))
+    check_op(lambda a: ad.branch_max(a, m),
+             lambda a: frozen_branch_max(a, m), [x], data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 5), data=st.data())
+def test_take_rows_matches_reduceat_path(r, data):
+    idx = data.draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=8),
+                    label="idx")
+    x = draw_array(data, (r, 2, 3), FLOATS)
+    check_op(lambda a: ad.take_rows(a, idx),
+             lambda a: frozen_take_rows(a, idx), [x], data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=5),
+       data=st.data())
+def test_leaky_relu_matches_multiplier_path(shape, data):
+    elements = st.one_of(TIES, FLOATS, st.just(np.nan), st.just(np.inf),
+                         st.just(-np.inf))
+    x = draw_array(data, shape, elements)
+    check_op(ad.leaky_relu, frozen_leaky_relu, [x], data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 5),
+       w=st.integers(1, 5), data=st.data())
+def test_instance_norm_matches_np_var_path(b, c, h, w, data):
+    x = draw_array(data, (b, c, h, w), st.one_of(TIES, FLOATS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    check_op(ad.instance_norm, frozen_instance_norm, [x, gamma, beta], data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 3), widths=st.lists(st.integers(1, 3), min_size=1,
+                                            max_size=3), data=st.data())
+def test_concat_channels_matches_offsets_path(b, widths, data):
+    xs = [draw_array(data, (b, k, 2, 2), FLOATS) for k in widths]
+    check_op(lambda *ns: ad.concat_channels(ns),
+             lambda *ns: frozen_concat_channels(ns), xs, data)
+
+
+def test_mixed_leaves_keep_parents():
+    # one parent needing a gradient keeps every (parent, vjp) pair
+    a, b = ad.param(np.ones((1, 1, 2, 2))), ad.const(np.zeros((1, 2, 2, 2)))
+    node = ad.concat_channels([a, b])
+    assert [p for p, _ in node.parents] == [a, b]
+    assert node.parents[0][1](np.arange(12.0).reshape(1, 3, 2, 2)).shape \
+        == (1, 1, 2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 4), cin=st.integers(1, 3), h=st.integers(3, 7),
+       w=st.integers(3, 7), chunk=st.sampled_from([None, 1, 2]),
+       data=st.data())
+def test_patches_match_sliding_window_view(b, cin, h, w, chunk, data):
+    xp = draw_array(data, (b, cin, h, w), FLOATS)
+    keep = ad._COLS_BYTES
+    if chunk is not None:  # force chunks of that many samples
+        ad._COLS_BYTES = chunk * cin * 9 * (h - 2) * (w - 2) * 8
+    try:
+        got = list(ad._patches(xp))
+        want = list(frozen_patches(xp))
+    finally:
+        ad._COLS_BYTES = keep
+    assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+    for (_, _, cols), (_, _, ref) in zip(got, want):
+        assert_bits(cols, ref)
+
+
+def test_valid_conv_of_a_strided_view_matches_a_copy():
+    x = np.random.default_rng(4).normal(size=(2, 3, 6, 10))
+    w = ad.const(np.random.default_rng(5).normal(size=(2, 3, 3, 3)))
+    view = x[:, :, :, ::2]
+    got = ad.conv3x3(ad.const(view), w, pad=0).value
+    assert_bits(got, ad.conv3x3(ad.const(view.copy()), w, pad=0).value)
+
+
+# ----- the network on const leaves ----------------------------------------------
+
+@settings(max_examples=12, deadline=None)
+@given(b=st.integers(1, 2), m=st.integers(1, 3), gain=st.booleans(),
+       training=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_forward_maps_on_const_leaves_matches_param_leaves(
+        b, m, gain, training, seed):
+    rng = np.random.default_rng(seed)
+    arch = hn.ArchitectureConfig(n=16, m=m, depth=2, base_channels=2,
+                                 emit_gain=gain)
+    weights = hn.init_weights(arch, rng)
+    for state in weights.bn.values():
+        state.mean = rng.normal(size=state.mean.shape)
+        state.var = rng.uniform(0.5, 2.0, size=state.var.shape)
+    stacks = rng.random((b, m, 4, 16, 16))
+    stacks[:, -1] = stacks[:, 0]  # a repeated branch image
+    stacks[0, 0, :2, :3] = -0.0
+    on_params, on_consts = weights.copy(), weights.copy()
+    want, _ = hn.forward_maps(stacks, on_params, training)
+    leaves = {k: ad.const(v) for k, v in weights.params.items()}
+    got, _ = hn.forward_maps(stacks, on_consts, training, leaves)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert_bits(got[name].value, want[name].value)
+        assert got[name].parents == () and not got[name].needs_grad
+    for key, state in on_params.bn.items():  # training's statistics too
+        assert_bits(on_consts.bn[key].mean, state.mean)
+        assert_bits(on_consts.bn[key].var, state.var)
