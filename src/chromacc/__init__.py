@@ -20,7 +20,7 @@ from .evaluation import (EvalReport, EvalSample, EvalStats, chroma_variance,
 from .floatmap import read_pfm, write_pfm
 from .histograms import (ChromaHistogram, EmptyHistogramError, HistogramConfig,
                          RawImage, assemble_feature_stack, bilinear_resize,
-                         build_histogram, compute_uv)
+                         build_histogram)
 from .hypernet import (ArchitectureConfig, NetworkWeights, c5_infer,
                        infer_from_stacks, init_weights, load_weights,
                        save_weights)

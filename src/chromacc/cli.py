@@ -30,11 +30,10 @@ from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
 from .hypernet import (ArchitectureConfig, c5_infer, init_weights,
                        load_weights, save_weights)
 from .sensor import (AugmentTarget, CMFTable, augment_image, estimate_cct,
-                     make_synthetic_camera, stratified_selection)
-from .synthbench import native_captures
-from .training import (TrainConfig, TrainingSample, arch_config_from,
-                       build_loss, format_metrics, parse_config, train,
-                       train_config_from)
+                     stratified_selection)
+from .synthbench import draw_camera, native_captures
+from .training import (TrainConfig, TrainingSample, build_loss,
+                       format_metrics, parse_config, train)
 
 __all__ = ["main"]
 
@@ -58,6 +57,14 @@ def _size(text: str):
     return h, w
 
 
+def _load_images(path) -> DatasetManifest:
+    """load_dataset, and a DataError when the manifest has no image."""
+    manifest = load_dataset(path)
+    if not manifest.samples:
+        raise DataError(f"{path}: manifest has no image record")
+    return manifest
+
+
 def _training_samples(manifest: DatasetManifest, hist: HistogramConfig):
     out = []
     for s in manifest.samples:
@@ -69,14 +76,13 @@ def _training_samples(manifest: DatasetManifest, hist: HistogramConfig):
 def cmd_train(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            mapping = parse_config(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config: {exc}") from None
-    cfg = train_config_from(mapping)
-    arch = arch_config_from(mapping)
+    cfg, arch = parse_config(text)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    manifest = load_dataset(args.data)
+    manifest = _load_images(args.data)
     hist = HistogramConfig(n=arch.n)
     samples = _training_samples(manifest, hist)
     result = train(samples, arch, cfg, config=hist)
@@ -111,8 +117,8 @@ def cmd_infer(args) -> int:
 
 def cmd_augment(args) -> int:
     rng = np.random.default_rng(args.seed)
-    src = load_dataset(args.source)
-    tgt = load_dataset(args.target)
+    src = _load_images(args.source)
+    tgt = _load_images(args.target)
     for name, manifest in (("source", src), ("target", tgt)):
         for s in manifest.samples:
             if s.meta is None:
@@ -154,7 +160,7 @@ def cmd_augment(args) -> int:
 
 def cmd_synth_camera(args) -> int:
     rng = np.random.default_rng(args.seed)
-    profile, metas = make_synthetic_camera(
+    profile, metas = draw_camera(
         rng, tint=args.tint, perturbation=args.perturbation,
         n_illuminants=args.illuminants, name=args.name)
     pairs = native_captures(metas, rng, args.count, size=args.size)
@@ -174,7 +180,7 @@ def cmd_synth_camera(args) -> int:
 
 def cmd_eval(args) -> int:
     weights = load_weights(args.weights)
-    manifest = load_dataset(args.manifest)
+    manifest = _load_images(args.manifest)
     samples = manifest.samples
     if args.hold_out is not None:
         _, samples = leave_one_camera_out(manifest, args.hold_out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .floatmap import DataError, read_pfm
-from .histograms import RawImage, bilinear_resize
+from .histograms import RawImage, bilinear_resize, unit_illuminant
 from .sensor import CameraProfile, CaptureMeta
 
 __all__ = [
@@ -47,14 +47,14 @@ class LabeledSample:
 
     def __post_init__(self):
         ell = np.asarray(self.illuminant, dtype=np.float64)
-        norm = np.linalg.norm(ell) if ell.shape == (3,) else 0.0
-        if not (np.all(ell > 0) and 0 < norm < np.inf):
-            raise DataError(f"{self.image_path}: illuminant must be a "
-                            f"positive 3-vector, got {ell}")
+        try:
+            self.illuminant = unit_illuminant(ell)
+        except ValueError as exc:
+            raise DataError(f"{self.image_path}: {exc}") from None
+        norm = np.linalg.norm(ell)
         if not np.isclose(norm, 1.0, atol=1e-6):
             warnings.warn(f"{self.image_path}: illuminant norm {norm:.6g} "
                           f"re-normalized to 1")
-        self.illuminant = ell / norm
 
     def load(self, working_res=WORKING_RES) -> RawImage:
         """Read the image (and mask), resized to working_res (rows, cols);

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plans
-from .histograms import HistogramConfig, RawImage, assemble_feature_stack, pixel_uv
+from .histograms import (HistogramConfig, RawImage, assemble_feature_stack,
+                         pixel_uv, unit_illuminant)
 from .hypernet import NetworkWeights, infer_from_stacks
 from .training import angular_error
 
@@ -97,11 +98,7 @@ class EvalSample:
     camera: str = ""
 
     def __post_init__(self):
-        ell = np.asarray(self.illuminant, dtype=np.float64)
-        norm = np.linalg.norm(ell)
-        if ell.shape != (3,) or norm == 0:
-            raise ValueError("illuminant must be a nonzero 3-vector")
-        self.illuminant = ell / norm
+        self.illuminant = unit_illuminant(self.illuminant)
 
 
 def gray_world(image: RawImage) -> np.ndarray:

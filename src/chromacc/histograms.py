@@ -24,7 +24,6 @@ adds the weights of a bin in that order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ __all__ = [
     "HistogramConfig",
     "RawImage",
     "ChromaHistogram",
-    "compute_uv",
+    "unit_illuminant",
     "pixel_uv",
     "build_histogram",
     "assemble_feature_stack",
@@ -163,16 +162,16 @@ def _stack_array(stack, n: int) -> np.ndarray:
     return arr
 
 
-def compute_uv(pixel) -> tuple[float, float]:
-    """Log-chroma coordinates of one RGB pixel.
-
-    Raises ValueError when any component is <= 0 (callers treat this as a
-    rejected pixel).
-    """
-    r, g, b = (float(c) for c in pixel)
-    if r <= 0 or g <= 0 or b <= 0:
-        raise ValueError(f"pixel components must be positive, got {(r, g, b)}")
-    return math.log(g / r), math.log(g / b)
+def unit_illuminant(ell) -> np.ndarray:
+    """ell / ||ell||; ValueError unless ell is a 3-vector with positive
+    components and a finite, nonzero norm."""
+    ell = np.asarray(ell, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = np.linalg.norm(ell) if ell.shape == (3,) else 0.0
+    if not ((ell > 0).all() and 0.0 < norm < np.inf):
+        raise ValueError("illuminant must be a positive 3-vector with a "
+                         f"finite, nonzero norm, got {ell}")
+    return ell / norm
 
 
 def pixel_uv(pixels: np.ndarray):

@@ -16,13 +16,14 @@ possible without any real raw datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .autodiff import NumericalError
-from .histograms import RawImage, bilinear_resize
+from .histograms import RawImage, bilinear_resize, unit_illuminant
 
 __all__ = [
     "PLANCK_C1", "PLANCK_C2", "CMFTable", "planck_spd", "temp_to_xyz",
@@ -135,19 +136,18 @@ class CameraProfile:
             raise ValueError(f"need q1 < q2, got {self.q1}, {self.q2}")
 
 
-def interp_cst(profile: CameraProfile, q: float) -> np.ndarray:
+def interp_cst(profile: CameraProfile, q) -> np.ndarray:
     """CST at temperature q by linear interpolation in reciprocal
     temperature, pinned so q = q1 returns C1 and q = q2 returns C2; clamped
-    outside the calibration interval."""
-    if q <= 0:
+    outside the calibration interval.  An array of temperatures gives a
+    stack of CSTs, shape q.shape + (3, 3)."""
+    q = np.asarray(q, dtype=np.float64)
+    if not (q > 0).all():
         raise ValueError(f"temperature must be positive, got {q}")
     alpha = (1.0 / q - 1.0 / profile.q2) / (1.0 / profile.q1 - 1.0 / profile.q2)
-    alpha = min(max(alpha, 0.0), 1.0)
+    # minimum/maximum, not np.clip: same bits, less overhead on a scalar
+    alpha = np.minimum(np.maximum(alpha, 0.0), 1.0)[..., None, None]
     return alpha * profile.c1 + (1.0 - alpha) * profile.c2
-
-
-def _cct_grid() -> np.ndarray:
-    return np.arange(CCT_RANGE[0], CCT_RANGE[1] + CCT_STEP / 2, CCT_STEP)
 
 
 def estimate_cct(ell_raw, profile: CameraProfile, cmf: CMFTable):
@@ -159,14 +159,9 @@ def estimate_cct(ell_raw, profile: CameraProfile, cmf: CMFTable):
     lower temperature.
     """
     ell = np.asarray(ell_raw, dtype=np.float64)
-    if ell.shape != (3,) or np.any(ell <= 0):
-        raise ValueError("illuminant must be a positive 3-vector")
-    qs = _cct_grid()
-    inv_q = 1.0 / qs
-    alpha = (inv_q - 1.0 / profile.q2) / (1.0 / profile.q1 - 1.0 / profile.q2)
-    alpha = np.clip(alpha, 0.0, 1.0)
-    csts = alpha[:, None, None] * profile.c1 + \
-        (1.0 - alpha)[:, None, None] * profile.c2
+    unit_illuminant(ell)
+    qs = np.arange(CCT_RANGE[0], CCT_RANGE[1] + CCT_STEP / 2, CCT_STEP)
+    csts = interp_cst(profile, qs)
     xyz = np.stack([temp_to_xyz(q, cmf) for q in qs])
     cand = np.linalg.solve(csts, xyz[..., None])[..., 0]
     cos = cand @ ell / (np.linalg.norm(cand, axis=1) * np.linalg.norm(ell))
@@ -180,12 +175,19 @@ def _wb_diag(ell) -> np.ndarray:
     return np.diag([g / r, 1.0, g / b])
 
 
+def _xyz_and_cct(image: RawImage, ell_raw, profile: CameraProfile,
+                 cmf: CMFTable):
+    """(XYZ pixels, CCT q) of a raw image: white balance by its illuminant,
+    then the CST interpolated at the illuminant's estimated CCT."""
+    q, cst = estimate_cct(ell_raw, profile, cmf)
+    return image.pixels @ (cst @ _wb_diag(np.asarray(ell_raw))).T, q
+
+
 def raw_to_xyz(image: RawImage, ell_raw, profile: CameraProfile,
                cmf: CMFTable) -> np.ndarray:
     """Map a raw image into CIE XYZ: white balance by its illuminant, then
     apply the CST interpolated at the illuminant's estimated CCT."""
-    _, cst = estimate_cct(ell_raw, profile, cmf)
-    return _apply_chain(image.pixels, cst @ _wb_diag(np.asarray(ell_raw)))
+    return _xyz_and_cct(image, ell_raw, profile, cmf)[0]
 
 
 def xyz_to_target_raw(xyz: np.ndarray, target_ill, target_profile: CameraProfile,
@@ -196,11 +198,7 @@ def xyz_to_target_raw(xyz: np.ndarray, target_ill, target_profile: CameraProfile
     j = np.asarray(target_ill, dtype=np.float64)
     m = interp_cst(target_profile, q)
     chain = np.linalg.inv(m @ _wb_diag(j))
-    return np.clip(_apply_chain(xyz, chain), 0.0, None)
-
-
-def _apply_chain(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return pixels @ matrix.T
+    return np.clip(xyz @ chain.T, 0.0, None)
 
 
 # ----- capture metadata features -------------------------------------------------
@@ -221,10 +219,8 @@ class CaptureMeta:
         for name in ("iso", "aperture", "exposure_time", "baseline_noise"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        ell = np.asarray(self.illuminant, dtype=np.float64)
-        if ell.shape != (3,) or np.any(ell <= 0):
-            raise ValueError("illuminant must be a positive 3-vector")
-        object.__setattr__(self, "illuminant", ell / np.linalg.norm(ell))
+        object.__setattr__(self, "illuminant",
+                           unit_illuminant(self.illuminant))
 
 
 def raw_feature(meta: CaptureMeta, q: float) -> np.ndarray:
@@ -346,38 +342,35 @@ def sample_illuminant(neighbor_r: np.ndarray, weights: np.ndarray,
 
 # ----- augmentation ---------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentTarget:
-    """A target camera's profile and everything precomputed from its metas:
-    per-meta CCTs, normalized features, r chromaticities, and the fitted
-    chromaticity cubic."""
+    """A target camera's profile and everything precomputed from its metas
+    by build: per-meta CCTs, normalized features, r chromaticities, and the
+    fitted chromaticity cubic."""
 
     profile: CameraProfile
     metas: list
-    temps: np.ndarray = field(init=False)
-    norms: FeatureNorms = field(init=False)
-    features: np.ndarray = field(init=False)
-    r_chroma: np.ndarray = field(init=False)
-    cubic: PlanckianCubic = field(init=False)
+    temps: np.ndarray
+    norms: FeatureNorms
+    features: np.ndarray
+    r_chroma: np.ndarray
+    cubic: PlanckianCubic
 
     @classmethod
     def build(cls, profile: CameraProfile, metas, cmf: CMFTable
               ) -> "AugmentTarget":
         if not metas:
             raise ValueError("need at least one target meta")
-        t = cls.__new__(cls)
-        t.profile = profile
-        t.metas = list(metas)
-        t.temps = np.array([estimate_cct(m.illuminant, profile, cmf)[0]
-                            for m in t.metas])
-        raw = np.stack([raw_feature(m, q) for m, q in zip(t.metas, t.temps)])
-        t.norms = FeatureNorms.from_features(raw)
-        t.features = np.stack([capture_feature(m, q, t.norms)
-                               for m, q in zip(t.metas, t.temps)])
-        ills = np.stack([m.illuminant for m in t.metas])
-        t.r_chroma = rg_chromaticity(ills)[:, 0]
-        t.cubic = fit_planckian_cubic(ills)
-        return t
+        metas = list(metas)
+        temps = np.array([estimate_cct(m.illuminant, profile, cmf)[0]
+                          for m in metas])
+        norms = FeatureNorms.from_features(
+            np.stack([raw_feature(m, q) for m, q in zip(metas, temps)]))
+        features = np.stack([capture_feature(m, q, norms)
+                             for m, q in zip(metas, temps)])
+        ills = np.stack([m.illuminant for m in metas])
+        return cls(profile, metas, temps, norms, features,
+                   rg_chromaticity(ills)[:, 0], fit_planckian_cubic(ills))
 
 
 def random_crop(pixels: np.ndarray, rng: np.random.Generator,
@@ -411,8 +404,7 @@ def augment_image(image: RawImage, meta: CaptureMeta,
     source capture's estimated CCT drives both CST interpolations and the
     metadata retrieval; noise scales and cropping follow the keyword knobs.
     """
-    q, cst = estimate_cct(meta.illuminant, src_profile, cmf)
-    xyz = _apply_chain(image.pixels, cst @ _wb_diag(meta.illuminant))
+    xyz, q = _xyz_and_cct(image, meta.illuminant, src_profile, cmf)
     v_query = capture_feature(meta, q, target.norms)
     idx, weights = knn_retrieve(v_query, target.features, k)
     j = sample_illuminant(target.r_chroma[idx], weights, target.cubic, rng,
@@ -445,20 +437,11 @@ def stratified_selection(temps, count: int, rng: np.random.Generator,
         raise ValueError("no source temperatures to select from")
     pools = {band: list(rng.permutation(members))
              for band, members in groups.items()}
-    order = sorted(pools)
     picks: list[int] = []
-    cursors = {band: 0 for band in order}
-    while len(picks) < count:
-        for band in order:
-            if len(picks) >= count:
-                break
-            pool = pools[band]
-            if cursors[band] >= len(pool):
-                pools[band] = list(rng.permutation(groups[band]))
-                cursors[band] = 0
-                pool = pools[band]
-            picks.append(int(pool[cursors[band]]))
-            cursors[band] += 1
+    for _, band in zip(range(count), itertools.cycle(sorted(pools))):
+        if not pools[band]:
+            pools[band] = list(rng.permutation(groups[band]))
+        picks.append(int(pools[band].pop(0)))
     return picks
 
 

@@ -15,15 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import NumericalError
 from .evaluation import EvalReport, EvalSample, gray_world, run_eval
-from .histograms import HistogramConfig, RawImage, assemble_feature_stack
+from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
+                         assemble_feature_stack, unit_illuminant)
 from .hypernet import ArchitectureConfig, NetworkWeights
 from .sensor import (AugmentTarget, CMFTable, augment_image, estimate_cct,
                      make_synthetic_camera, stratified_selection)
 from .training import TrainConfig, TrainingSample, TrainResult, train
 
 __all__ = [
-    "SCENE_SIZE", "render_scene", "capture", "native_captures", "Benchmark",
+    "SCENE_SIZE", "render_scene", "capture", "native_captures",
+    "draw_camera", "Benchmark",
     "make_benchmark", "BenchmarkResult", "run_benchmark",
 ]
 
@@ -62,8 +65,7 @@ def render_scene(rng: np.random.Generator, size=SCENE_SIZE,
 def capture(reflectance: np.ndarray, illuminant) -> RawImage:
     """Raw capture of a reflectance field under one illuminant."""
     ell = np.asarray(illuminant, dtype=np.float64)
-    if ell.shape != (3,) or np.any(ell <= 0):
-        raise ValueError("illuminant must be a positive 3-vector")
+    unit_illuminant(ell)
     return RawImage(reflectance * ell)
 
 
@@ -76,6 +78,17 @@ def native_captures(metas, rng: np.random.Generator, count: int,
         meta = metas[int(rng.integers(len(metas)))]
         out.append((capture(render_scene(rng, size), meta.illuminant), meta))
     return out
+
+
+def draw_camera(rng: np.random.Generator, **kw):
+    """make_synthetic_camera(rng, **kw), drawn again from the same stream
+    while a draw fails with NumericalError, at most 100 draws in all."""
+    for draw in range(100):
+        try:
+            return make_synthetic_camera(rng, **kw)
+        except NumericalError:
+            if draw == 99:
+                raise
 
 
 @dataclass
@@ -100,8 +113,10 @@ def make_benchmark(seed: int = 0, n_train_cameras: int = 3,
 
     n_train_cameras cameras contribute native captures that are re-rendered
     (temperature-stratified, with sampled target illuminants and crops) into
-    each other's spaces until train_images stacks exist; one extra camera
-    supplies eval_images untouched captures.
+    each other's spaces; one extra camera supplies eval_images untouched
+    captures.  Cameras come from draw_camera.  A re-rendered image whose
+    pixel histogram is empty (every pixel left the log-chroma domain) loses
+    its stack, so train holds at most train_images stacks.
     """
     if n_train_cameras < 2:
         raise ValueError("cross-camera training needs at least 2 cameras")
@@ -113,7 +128,7 @@ def make_benchmark(seed: int = 0, n_train_cameras: int = 3,
     profiles = {}
     for c in range(n_train_cameras + 1):
         name = f"cam{c}"
-        profile, metas = make_synthetic_camera(
+        profile, metas = draw_camera(
             rng, tint=tint, perturbation=perturbation, name=name)
         profiles[name] = profile
         cams.append((name, profile, metas))
@@ -137,7 +152,10 @@ def make_benchmark(seed: int = 0, n_train_cameras: int = 3,
         img, meta, profile = sources[src]
         tgt = names[j % len(names)]
         out, ell = augment_image(img, meta, profile, targets[tgt], cmf, rng)
-        stack = assemble_feature_stack(out, hist).channel_first()
+        try:
+            stack = assemble_feature_stack(out, hist).channel_first()
+        except EmptyHistogramError:
+            continue
         train_set.append(TrainingSample(stack, ell, camera=tgt))
 
     evals = [EvalSample(img, meta.illuminant, camera=held_name)

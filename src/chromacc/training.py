@@ -12,8 +12,8 @@ reproduces in-memory inference bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, cos, pi
+from dataclasses import dataclass, field, fields
+from math import ceil, cos, isfinite, pi
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from . import hypernet as hn
 from . import plans
 from .autodiff import _snap32
 from .ccc import _head_nodes
-from .histograms import HistogramConfig
+from .floatmap import DataError
+from .histograms import HistogramConfig, unit_illuminant
 
 __all__ = [
     "NumericalError", "TrainConfig", "TrainingSample", "EpochMetrics",
     "TrainResult", "angular_error", "lr_at", "batch_size_at", "AdamState",
     "adam_step", "sample_batch", "iter_epoch", "build_loss",
-    "validation_split", "train", "parse_config", "train_config_from",
-    "format_metrics",
+    "validation_split", "train", "parse_config", "format_metrics",
 ]
 
 # horizontal (variation along u = columns) and vertical Sobel kernels;
@@ -85,10 +85,8 @@ class TrainingSample:
     def __post_init__(self):
         object.__setattr__(self, "stack",
                            np.asarray(self.stack, dtype=np.float64))
-        ell = np.asarray(self.illuminant, dtype=np.float64)
-        if ell.shape != (3,) or not np.all(ell > 0):
-            raise ValueError("illuminant must be a positive 3-vector")
-        object.__setattr__(self, "illuminant", ell / np.linalg.norm(ell))
+        object.__setattr__(self, "illuminant",
+                           unit_illuminant(self.illuminant))
 
 
 def angular_error(a, b) -> float:
@@ -350,46 +348,46 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
 
 # ----- config file and metrics text ---------------------------------------------
 
-def parse_config(text: str) -> dict:
-    """key = value lines; # starts a comment; blank lines ignored."""
-    out = {}
+def _config_value(text: str, default):
+    """A config value read as the type of its field's default."""
+    if isinstance(default, bool):
+        return {"true": True, "yes": True, "1": True, "false": False,
+                "no": False, "0": False}[text.lower()]
+    if isinstance(default, tuple):  # batch_sizes: comma-separated ints
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    value = type(default)(text)
+    if not isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def parse_config(text: str):
+    """key = value lines (# starts a comment) -> (TrainConfig,
+    ArchitectureConfig).  The keys are the two classes' fields and a value
+    takes the type of its field's default.  An unknown key, a line without
+    =, a value that does not read or is not finite, and a value the classes
+    reject all raise DataError."""
+    classes = (TrainConfig, hn.ArchitectureConfig)
+    owner = {f.name: (cls, f.default) for cls in classes for f in fields(cls)}
+    kw = {cls: {} for cls in classes}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected key = value, got {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
-
-
-_TRAIN_KEYS = {
-    "epochs": int, "lr": float, "beta1": float, "beta2": float, "eps": float,
-    "weight_decay": float, "lambda_f": float, "lambda_b": float,
-    "lambda_g": float, "val_fraction": float, "seed": int,
-}
-
-
-def train_config_from(mapping: dict) -> TrainConfig:
-    kw = {}
-    for key, conv in _TRAIN_KEYS.items():
-        if key in mapping:
-            kw[key] = conv(mapping[key])
-    if "batch_sizes" in mapping:
-        kw["batch_sizes"] = tuple(
-            int(tok) for tok in mapping["batch_sizes"].split(",") if tok.strip())
-    return TrainConfig(**kw)
-
-
-def arch_config_from(mapping: dict) -> hn.ArchitectureConfig:
-    kw = {}
-    for key in ("n", "m", "depth", "base_channels"):
-        if key in mapping:
-            kw[key] = int(mapping[key])
-    if "emit_gain" in mapping:
-        kw["emit_gain"] = mapping["emit_gain"].lower() in ("1", "true", "yes")
-    return hn.ArchitectureConfig(**kw)
+        key, eq, val = (t.strip() for t in line.partition("="))
+        if not eq:
+            raise DataError(f"line {ln}: expected key = value, got {raw!r}")
+        if key not in owner:
+            raise DataError(f"line {ln}: unknown key {key!r}")
+        cls, default = owner[key]
+        try:
+            kw[cls][key] = _config_value(val, default)
+        except (KeyError, ValueError, OverflowError):
+            raise DataError(f"line {ln}: cannot read {key} = {val!r}") from None
+    try:
+        return tuple(cls(**kw[cls]) for cls in classes)
+    except ValueError as exc:
+        raise DataError(f"config: {exc}") from None
 
 
 def format_metrics(metrics) -> str:

@@ -3,9 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from chromacc.autodiff import NumericalError
 from chromacc.cli import main
 from chromacc.datasets import DatasetManifest, load_dataset, write_manifest
 from chromacc.floatmap import read_pfm, write_pfm
+from chromacc.sensor import make_synthetic_camera
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +326,54 @@ def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, text):
                  "--out", str(tmp_path / "w.ccw")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("epochs = abc\n", id="value-not-an-int"),
+    pytest.param("epochs 3\n", id="line-without-equals"),
+    pytest.param("n = 30\n", id="n-not-a-multiple-of-2-to-depth"),
+    pytest.param("epochs = -1\n", id="negative-epochs"),
+    pytest.param("batch_sizes = 32,16\n", id="descending-batch-sizes"),
+    pytest.param("lamda_f = 0.1\n", id="misspelled-key"),
+    pytest.param("lr = 1e999\n", id="infinite-lr"),
+    pytest.param(b"epochs = 1  # \xff\n", id="not-utf8"),
+])
+def test_malformed_config_exits_2(workspace, tmp_path, capsys, text):
+    config = tmp_path / "bad.cfg"
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text)
+    assert main(["train", str(config), "--data",
+                 str(workspace["alpha"] / "manifest.jsonl"),
+                 "--out", str(tmp_path / "w.ccw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "Traceback" not in err
+    assert not (tmp_path / "w.ccw").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_without_images_exits_2(workspace, tmp_path, capsys,
+                                         command):
+    cameras_only = tmp_path / "cameras.jsonl"
+    alpha = load_dataset(workspace["alpha"] / "manifest.jsonl")
+    write_manifest(DatasetManifest(profiles=alpha.profiles), cameras_only)
+    if command == "train":
+        argv = ["train", str(workspace["config"]), "--data",
+                str(cameras_only), "--out", str(tmp_path / "w.ccw")]
+    else:
+        argv = ["eval", str(workspace["weights"]), str(cameras_only)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "no image record" in err
+
+
+def test_synth_camera_redraws_a_failed_camera(tmp_path):
+    # the first camera drawn at seed 18 has a non-positive illuminant
+    rng = np.random.default_rng(18)
+    with pytest.raises(NumericalError):
+        make_synthetic_camera(rng, tint=0.15, perturbation=0.04)
+    out = tmp_path / "cam"
+    assert main(["synth-camera", "2", "--out-dir", str(out), "--seed", "18",
+                 "--size", "12x16"]) == 0
+    assert len(load_dataset(out / "manifest.jsonl").samples) == 2

@@ -260,7 +260,9 @@ def test_format_report_layout():
 
 def test_eval_sample_normalizes():
     img = RawImage(np.ones((2, 2, 3)))
-    s = EvalSample(img, [0.0, 2.0, 0.0])
-    assert np.allclose(s.illuminant, [0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        EvalSample(img, [0.0, 0.0, 0.0])
+    s = EvalSample(img, [2.0, 4.0, 4.0])
+    assert np.allclose(s.illuminant, [1 / 3, 2 / 3, 2 / 3])
+    # the ground truth is a positive 3-vector, as everywhere else
+    for bad in ([0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="illuminant must be"):
+            EvalSample(img, bad)

@@ -19,7 +19,7 @@ from chromacc.histograms import (
     RawImage,
     assemble_feature_stack,
     build_histogram,
-    compute_uv,
+    pixel_uv,
 )
 from chromacc.datasets import WORKING_RES
 from chromacc.synthbench import capture, render_scene
@@ -33,22 +33,32 @@ def test_config_defaults():
     assert CFG.bin_width == pytest.approx(0.0890625, abs=0.0)
 
 
+def _uv(pixel):
+    """pixel_uv of one pixel: (u, v, valid)."""
+    u, v, valid = pixel_uv(np.array([pixel], dtype=np.float64))
+    return u[0], v[0], bool(valid[0])
+
+
+# the four compute_uv tests keep their names but check pixel_uv, the one
+# definition of pixel log-chroma
 def test_compute_uv_known_pixel():
     # r=0.5, g=1, b=0.25: u = log(1/0.5) = log 2, v = log(1/0.25) = log 4
-    u, v = compute_uv((0.5, 1.0, 0.25))
+    u, v, valid = _uv((0.5, 1.0, 0.25))
+    assert valid
     assert u == pytest.approx(math.log(2.0), rel=1e-15)
     assert v == pytest.approx(math.log(4.0), rel=1e-15)
 
 
 def test_compute_uv_gray_is_origin():
-    u, v = compute_uv((0.3, 0.3, 0.3))
-    assert u == 0.0 and v == 0.0
+    u, v, valid = _uv((0.3, 0.3, 0.3))
+    assert valid and u == 0.0 and v == 0.0
 
 
 @pytest.mark.parametrize("pixel", [(0, 1, 1), (1, -0.1, 1), (1, 1, 0)])
 def test_compute_uv_rejects_nonpositive(pixel):
-    with pytest.raises(ValueError):
-        compute_uv(pixel)
+    u, v, valid = _uv(pixel)
+    assert not valid
+    assert math.isnan(u) or math.isnan(v)
 
 
 @given(
@@ -57,8 +67,8 @@ def test_compute_uv_rejects_nonpositive(pixel):
 )
 @settings(max_examples=100, deadline=None)
 def test_compute_uv_intensity_invariant(rgb, scale):
-    u0, v0 = compute_uv(rgb)
-    u1, v1 = compute_uv(tuple(scale * c for c in rgb))
+    u0, v0, _ = _uv(rgb)
+    u1, v1, _ = _uv(tuple(scale * c for c in rgb))
     assert u1 == pytest.approx(u0, abs=1e-9)
     assert v1 == pytest.approx(v0, abs=1e-9)
 

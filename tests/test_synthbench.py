@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from chromacc.autodiff import NumericalError
 from chromacc.histograms import HistogramConfig
 from chromacc.hypernet import ArchitectureConfig
-from chromacc.synthbench import (SCENE_SIZE, capture, make_benchmark,
-                                 native_captures, render_scene, run_benchmark)
+from chromacc.sensor import make_synthetic_camera
+from chromacc.synthbench import (SCENE_SIZE, capture, draw_camera,
+                                 make_benchmark, native_captures,
+                                 render_scene, run_benchmark)
 from chromacc.training import TrainConfig
 
 
@@ -115,3 +118,44 @@ def test_run_benchmark_smoke_and_reproducibility(tiny_bench):
     assert a.c5 == b.c5
     assert a.single == b.single
     assert a.baseline == b.baseline
+
+
+def test_draw_camera_redraws_from_the_same_stream():
+    # seed 18's first camera draw yields a non-positive illuminant
+    rng = np.random.default_rng(18)
+    failures = 0
+    while True:
+        try:
+            want = make_synthetic_camera(rng, tint=0.15, perturbation=0.04)
+            break
+        except NumericalError:
+            failures += 1
+    assert failures >= 1
+    rng_drawn = np.random.default_rng(18)
+    profile, metas = draw_camera(rng_drawn, tint=0.15, perturbation=0.04)
+    assert np.array_equal(profile.c1, want[0].c1)
+    assert np.array_equal(profile.c2, want[0].c2)
+    assert [m.illuminant.tobytes() for m in metas] == \
+        [m.illuminant.tobytes() for m in want[1]]
+    assert rng_drawn.bit_generator.state == rng.bit_generator.state
+
+
+def test_benchmark_builds_where_a_camera_draw_fails():
+    bench = make_benchmark(seed=18, n_train_cameras=2, captures_per_camera=4,
+                           train_images=6, eval_images=2,
+                           hist=HistogramConfig(n=16), size=(16, 24))
+    assert len(bench.train) == 6 and len(bench.eval_samples) == 2
+    profile, _ = draw_camera(np.random.default_rng(18), tint=0.15,
+                             perturbation=0.04, name="cam0")
+    assert np.array_equal(bench.profiles["cam0"].c1, profile.c1)
+
+
+def test_benchmark_skips_an_empty_stack():
+    # with the domain cut to [-0.5, 0.5) two of the twelve re-rendered
+    # images keep no pixel inside it
+    bench = make_benchmark(seed=0, n_train_cameras=2, captures_per_camera=4,
+                           train_images=12, eval_images=2,
+                           hist=HistogramConfig(n=8, bound=0.5))
+    assert len(bench.train) == 10
+    for s in bench.train:
+        assert s.stack[0].sum() == pytest.approx(1.0)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import chromacc.autodiff as ad
 import chromacc.hypernet as hn
 import chromacc.plans as plans
 import chromacc.training as tr
+from chromacc.datasets import DataError
 from chromacc.histograms import HistogramConfig
 
 
@@ -412,16 +416,22 @@ def test_parse_config_and_builders():
     base_channels = 4
     emit_gain = true
     """
-    mapping = tr.parse_config(text)
-    cfg = tr.train_config_from(mapping)
+    cfg, arch = tr.parse_config(text)
     assert cfg.epochs == 5 and cfg.lr == 1e-3 and cfg.seed == 7
     assert cfg.batch_sizes == (4, 8, 16)
     assert cfg.lambda_f == 0.15  # untouched default
-    arch = tr.arch_config_from(mapping)
     assert arch == hn.ArchitectureConfig(n=32, m=3, depth=3, base_channels=4,
                                          emit_gain=True)
-    with pytest.raises(ValueError, match="key = value"):
+    with pytest.raises(DataError, match="key = value"):
         tr.parse_config("epochs 5")
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg, arch = tr.parse_config(example)
+    assert arch == hn.ArchitectureConfig(n=64, m=9, depth=4, base_channels=8)
+    assert cfg == tr.TrainConfig(epochs=60, lr=5e-4, batch_sizes=(16, 32, 64))
 
 
 def test_format_metrics_round_trips():
