@@ -10,7 +10,7 @@
 import numpy as np
 
 from chromacc import CCCParams, HistogramConfig, RawImage
-from chromacc.ccc import convolve2d, estimate_illuminant, evaluate_ccc
+from chromacc.ccc import convolve2d, estimate_illuminant
 from chromacc.histograms import assemble_feature_stack
 from chromacc.training import angular_error
 
@@ -35,9 +35,8 @@ flt = np.roll(template[::-1, ::-1], (1, 1), axis=(0, 1)) * 40.0
 params = CCCParams(bias=np.zeros((64, 64)),
                    filters=np.stack([flt, np.zeros_like(flt)]))
 
-heat = evaluate_ccc(stack, params)
+ell_hat, heat = estimate_illuminant(stack, params, cfg)
 print("heat map sums to", heat.sum())
-ell_hat, _ = estimate_illuminant(stack, params, cfg)
 print("true     ", np.round(ell_true, 4))
 print("estimated", np.round(ell_hat, 4))
 # a hand-built template has no sub-bin precision, so expect an error on

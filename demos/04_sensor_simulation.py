@@ -58,8 +58,7 @@ print("sampled target illuminant:", np.round(j, 4))
 
 # the round trip through XYZ is near-exact when source and target agree:
 # white-balance and CST in, the inverse chain back out
-q, _ = estimate_cct(metas[0].illuminant, profile, cmf)
-xyz = raw_to_xyz(src, metas[0].illuminant, profile, cmf)
+xyz, q = raw_to_xyz(src, metas[0].illuminant, profile, cmf)
 back = xyz_to_target_raw(xyz, metas[0].illuminant, profile, q)
 print("identity re-render max |diff|: %.3g"
       % np.abs(back - src.pixels).max())

@@ -12,7 +12,7 @@ and an evaluation harness are included; numpy is the only dependency.
 
 from . import autodiff
 from .autodiff import NumericalError, grad_check
-from .ccc import CCCParams, convolve2d, estimate_illuminant, evaluate_ccc, uv_to_rgb
+from .ccc import CCCParams, convolve2d, estimate_illuminant, uv_to_rgb
 from .datasets import (WORKING_RES, DataError, DatasetManifest, LabeledSample,
                        leave_one_camera_out, load_dataset, write_manifest)
 from .evaluation import (EvalReport, EvalSample, EvalStats, chroma_variance,

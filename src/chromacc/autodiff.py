@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 ARCCOS_CLAMP = 1.0 - 1e-7
+LEAKY_SLOPE = 0.2   # leaky_relu's gradient below zero
 
 
 class NumericalError(RuntimeError):
@@ -227,13 +228,13 @@ def branch_max(a: Node, m: int) -> Node:
     return Node(value, [(a, vjp)])
 
 
-def leaky_relu(a: Node, slope: float = 0.2) -> Node:
+def leaky_relu(a: Node) -> Node:
     av = a.value
     pos = av > 0
-    value = np.where(pos, av, av * slope)  # av * 1.0 == av exactly
+    value = np.where(pos, av, av * LEAKY_SLOPE)  # av * 1.0 == av exactly
     if not a.needs_grad:
         return Node(value)
-    mult = np.where(pos, 1.0, slope)
+    mult = np.where(pos, 1.0, LEAKY_SLOPE)
     return Node(value, [(a, lambda g: g * mult)])
 
 
@@ -332,6 +333,7 @@ def conv3x3(x: Node, w: Node, pad: int = 1) -> Node:
 # ----- normalization ----------------------------------------------------------
 
 BN_EPS = 1e-8
+BN_MOMENTUM = 0.9   # weight of the old running statistics per update
 
 
 def _snap32(x: np.ndarray) -> np.ndarray:
@@ -343,20 +345,19 @@ def _snap32(x: np.ndarray) -> np.ndarray:
 class BatchNormState:
     """Running statistics for inference, one entry per channel.
 
-    Updated with momentum during training forwards; values are kept
-    float32-representable so weight files round-trip bit-exactly.
+    Updated with momentum BN_MOMENTUM during training forwards; values are
+    kept float32-representable so weight files round-trip bit-exactly.
     """
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.9
 
     @classmethod
     def fresh(cls, channels: int) -> "BatchNormState":
         return cls(np.zeros(channels), np.ones(channels))
 
     def update(self, mu: np.ndarray, var: np.ndarray):
-        m = self.momentum
+        m = BN_MOMENTUM
         self.mean = _snap32(m * self.mean + (1.0 - m) * mu)
         self.var = _snap32(m * self.var + (1.0 - m) * var)
 

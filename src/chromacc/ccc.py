@@ -31,7 +31,6 @@ from .histograms import HistogramConfig, _stack_array
 __all__ = [
     "CCCParams",
     "convolve2d",
-    "evaluate_ccc",
     "soft_argmax",
     "uv_to_rgb",
     "estimate_illuminant",
@@ -138,9 +137,10 @@ def _head_nodes(hists: ad.Node, filters: ad.Node, bias: ad.Node,
 
 def estimate_illuminant(stack, params: CCCParams,
                         config: HistogramConfig = None):
-    """Full evaluator: returns (unit illuminant RGB, heat map).
+    """Full evaluator: returns (unit illuminant RGB, heat map P =
+    softmax(bias + [gain *] sum_i conv(N_i, F_i))).
 
-    stack may be a ChromaHistogram or an (n, n, 4) / (4, n, n) array; only
+    stack may be a ChromaHistogram or a channel-first (4, n, n) array; only
     channels 0-1 (the two histograms) are convolved.  config defaults to
     the histogram grid of size params.n and must have that size.
     """
@@ -154,11 +154,6 @@ def estimate_illuminant(stack, params: CCCParams,
     prob, ell = _head_nodes(ad.const(hists), ad.const(params.filters[None]),
                             ad.const(params.bias[None]), gain, config)
     return ell.value[0], prob.value[0]
-
-
-def evaluate_ccc(stack, params: CCCParams) -> np.ndarray:
-    """Heat map P = softmax(bias + [gain *] sum_i conv(N_i, F_i))."""
-    return estimate_illuminant(stack, params)[1]
 
 
 def soft_argmax(p: np.ndarray, config: HistogramConfig) -> tuple[float, float]:

@@ -162,10 +162,9 @@ def _parse_image(record, root, where) -> LabeledSample:
         scene=scene, meta=meta)
 
 
-def load_dataset(manifest_path, check_files: bool = True) -> DatasetManifest:
+def load_dataset(manifest_path) -> DatasetManifest:
     """Parse a manifest; image payloads stay lazy.  Every image's camera must
-    have a profile record, and referenced files must exist (unless
-    check_files is disabled)."""
+    have a profile record, and referenced files must exist."""
     root = os.path.dirname(os.path.abspath(manifest_path))
     manifest = DatasetManifest()
     try:
@@ -195,10 +194,9 @@ def load_dataset(manifest_path, check_files: bool = True) -> DatasetManifest:
     for s in manifest.samples:
         if s.camera not in manifest.profiles:
             raise DataError(f"camera {s.camera!r} has no profile record")
-        if check_files:
-            for p in (s.image_path, s.mask_path):
-                if p is not None and not os.path.exists(p):
-                    raise DataError(f"missing file: {p}")
+        for p in (s.image_path, s.mask_path):
+            if p is not None and not os.path.exists(p):
+                raise DataError(f"missing file: {p}")
     return manifest
 
 

@@ -163,7 +163,7 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
             adds = plans.draw(pools[i], extra, rng)
             if estimator is None:
                 ell, _, _ = infer_from_stacks(
-                    stacks[i], [stacks[j] for j in adds], net)
+                    stacks[i], [stacks[j] for j in adds], net, cfg)
             else:
                 ell = estimator(sample.image,
                                 [samples[j].image for j in adds])

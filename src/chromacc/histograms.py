@@ -150,13 +150,10 @@ class ChromaHistogram:
 
 def _stack_array(stack, n: int) -> np.ndarray:
     """(4, n, n) channel-first float64 array of a feature stack given as a
-    ChromaHistogram or an (n, n, 4) / (4, n, n) array."""
-    if isinstance(stack, ChromaHistogram):
-        arr = stack.channel_first()
-    else:
-        arr = np.asarray(stack, dtype=np.float64)
-        if arr.shape == (n, n, 4):
-            arr = np.ascontiguousarray(arr.transpose(2, 0, 1))
+    ChromaHistogram or a channel-first (4, n, n) array.  A bare array is
+    always read channel-first: at n = 4 the two layouts share a shape."""
+    arr = stack.channel_first() if isinstance(stack, ChromaHistogram) \
+        else np.asarray(stack, dtype=np.float64)
     if arr.shape != (4, n, n):
         raise ValueError(f"stack shape {arr.shape} does not fit n={n}")
     return arr

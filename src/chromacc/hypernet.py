@@ -35,9 +35,9 @@ from . import autodiff as ad
 from .autodiff import _snap32
 from .ccc import CCCParams, estimate_illuminant
 from .floatmap import DataError
-from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
-                         _coordinate_planes, _stack_array,
-                         assemble_feature_stack)
+from .histograms import (ChromaHistogram, EmptyHistogramError,
+                         HistogramConfig, RawImage, _coordinate_planes,
+                         _stack_array, assemble_feature_stack)
 from .plans import pad
 
 __all__ = [
@@ -117,7 +117,7 @@ class NetworkWeights:
         return NetworkWeights(
             self.arch,
             {k: v.copy() for k, v in self.params.items()},
-            {k: ad.BatchNormState(s.mean.copy(), s.var.copy(), s.momentum)
+            {k: ad.BatchNormState(s.mean.copy(), s.var.copy())
              for k, s in self.bn.items()},
         )
 
@@ -319,7 +319,7 @@ def c5_infer(query: RawImage, additional, weights: NetworkWeights,
     except EmptyHistogramError:
         warnings.warn("the query has no pixel inside the log-chroma domain; "
                       "the estimate is the network's prior", stacklevel=2)
-        qs = _coordinate_planes(config)
+        qs = ChromaHistogram(_coordinate_planes(config), config)
     extra = []
     for img in additional:
         try:

@@ -43,6 +43,7 @@ Q_RANGE = (500.0, 20000.0)
 LAMBDA_RANGE = (380e-9, 780e-9)
 CCT_RANGE = (2500.0, 7500.0)
 CCT_STEP = 10.0
+BAND_K = 250.0   # width of a temperature band (stratified selection, cameras)
 
 
 @dataclass(frozen=True)
@@ -79,16 +80,12 @@ class CMFTable:
         return float(self.wavelengths[1] - self.wavelengths[0])
 
     @classmethod
-    def load(cls, path=None) -> "CMFTable":
-        """Read the packaged CIE 1931 2-degree table (or another CSV with
-        columns wavelength_nm, xbar, ybar, zbar)."""
-        if path is None:
-            ref = resources.files("chromacc").joinpath(
-                "data/cie1931_2deg_5nm.csv")
-            with resources.as_file(ref) as p:
-                raw = np.loadtxt(p, delimiter=",", comments="#")
-        else:
-            raw = np.loadtxt(path, delimiter=",", comments="#")
+    def load(cls) -> "CMFTable":
+        """Read the packaged CIE 1931 2-degree table (columns wavelength_nm,
+        xbar, ybar, zbar)."""
+        ref = resources.files("chromacc").joinpath("data/cie1931_2deg_5nm.csv")
+        with resources.as_file(ref) as p:
+            raw = np.loadtxt(p, delimiter=",", comments="#")
         return cls(raw[:, 0] * 1e-9, raw[:, 1], raw[:, 2], raw[:, 3])
 
 
@@ -175,19 +172,13 @@ def _wb_diag(ell) -> np.ndarray:
     return np.diag([g / r, 1.0, g / b])
 
 
-def _xyz_and_cct(image: RawImage, ell_raw, profile: CameraProfile,
-                 cmf: CMFTable):
-    """(XYZ pixels, CCT q) of a raw image: white balance by its illuminant,
-    then the CST interpolated at the illuminant's estimated CCT."""
+def raw_to_xyz(image: RawImage, ell_raw, profile: CameraProfile,
+               cmf: CMFTable):
+    """Map a raw image into CIE XYZ: white balance by its illuminant, then
+    apply the CST interpolated at the illuminant's estimated CCT.  Returns
+    (XYZ pixels, that CCT q)."""
     q, cst = estimate_cct(ell_raw, profile, cmf)
     return image.pixels @ (cst @ _wb_diag(np.asarray(ell_raw))).T, q
-
-
-def raw_to_xyz(image: RawImage, ell_raw, profile: CameraProfile,
-               cmf: CMFTable) -> np.ndarray:
-    """Map a raw image into CIE XYZ: white balance by its illuminant, then
-    apply the CST interpolated at the illuminant's estimated CCT."""
-    return _xyz_and_cct(image, ell_raw, profile, cmf)[0]
 
 
 def xyz_to_target_raw(xyz: np.ndarray, target_ill, target_profile: CameraProfile,
@@ -374,12 +365,12 @@ class AugmentTarget:
 
 
 def random_crop(pixels: np.ndarray, rng: np.random.Generator,
-                area_range=(0.8, 1.0), mask: np.ndarray = None):
-    """Crop a uniform-area fraction with the original aspect ratio, then
-    resize back to the input size.  Returns (pixels, mask) with the mask
-    resampled by nearest threshold (or None when absent)."""
+                mask: np.ndarray = None):
+    """Crop a uniform 80-100% of the area with the original aspect ratio,
+    then resize back to the input size.  Returns (pixels, mask) with the
+    mask resampled by nearest threshold (or None when absent)."""
     h, w = pixels.shape[:2]
-    scale = np.sqrt(rng.uniform(*area_range))
+    scale = np.sqrt(rng.uniform(0.8, 1.0))
     ch = max(1, round(h * scale))
     cw = max(1, round(w * scale))
     top = int(rng.integers(0, h - ch + 1))
@@ -404,7 +395,7 @@ def augment_image(image: RawImage, meta: CaptureMeta,
     source capture's estimated CCT drives both CST interpolations and the
     metadata retrieval; noise scales and cropping follow the keyword knobs.
     """
-    xyz, q = _xyz_and_cct(image, meta.illuminant, src_profile, cmf)
+    xyz, q = raw_to_xyz(image, meta.illuminant, src_profile, cmf)
     v_query = capture_feature(meta, q, target.norms)
     idx, weights = knn_retrieve(v_query, target.features, k)
     j = sample_illuminant(target.r_chroma[idx], weights, target.cubic, rng,
@@ -416,23 +407,22 @@ def augment_image(image: RawImage, meta: CaptureMeta,
     return RawImage(out, mask), j
 
 
-def temperature_groups(temps, step: float = 250.0,
-                       lo: float = CCT_RANGE[0], hi: float = CCT_RANGE[1]
-                       ) -> dict:
-    """Bucket temperatures into [lo, hi] bands of the given width; returns
-    {band index: [positions]} for non-empty bands only."""
+def temperature_groups(temps) -> dict:
+    """Bucket temperatures into the BAND_K-wide bands of CCT_RANGE (the
+    outer bands take what lies beyond it); returns {band index: [positions]}
+    for non-empty bands only."""
+    lo, hi = CCT_RANGE
     groups: dict[int, list] = {}
     for pos, q in enumerate(np.asarray(temps, dtype=np.float64)):
-        band = int(np.clip((q - lo) // step, 0, (hi - lo) // step - 1))
+        band = int(np.clip((q - lo) // BAND_K, 0, (hi - lo) // BAND_K - 1))
         groups.setdefault(band, []).append(pos)
     return groups
 
 
-def stratified_selection(temps, count: int, rng: np.random.Generator,
-                         step: float = 250.0) -> list:
-    """Pick source indices round-robin over 250 K temperature bands so every
+def stratified_selection(temps, count: int, rng: np.random.Generator) -> list:
+    """Pick source indices round-robin over the temperature bands so every
     represented band contributes evenly; repeats once a band is exhausted."""
-    groups = temperature_groups(temps, step)
+    groups = temperature_groups(temps)
     if not groups:
         raise ValueError("no source temperatures to select from")
     pools = {band: list(rng.permutation(members))
@@ -459,15 +449,16 @@ CANONICAL_Q2 = 6504.0   # daylight calibration point
 
 def make_synthetic_camera(rng: np.random.Generator, tint: float = 0.0,
                           perturbation: float = 0.0, n_illuminants: int = 64,
-                          rg_jitter: float = 0.005, name: str = ""):
+                          name: str = ""):
     """Manufacture a virtual camera: a perturbed two-point profile plus a
     Planckian illuminant population with correlated capture metadata.
 
     tint scales a per-channel sensitivity skew (red/blue gains); perturbation
     scales random entrywise deviations of each CST.  Zero for both returns
     the canonical reference profile.  Illuminant temperatures are stratified
-    over 250 K bands of 2500-7500 K; chromaticities get a small off-locus
-    jitter so the population has nonzero spread around its cubic.
+    over the BAND_K bands of CCT_RANGE; rg chromaticities get an off-locus
+    jitter (standard deviation 0.005) so the population has nonzero spread
+    around its cubic.
     """
     if n_illuminants < 4:
         raise ValueError("need at least 4 illuminants for the cubic model")
@@ -488,17 +479,17 @@ def make_synthetic_camera(rng: np.random.Generator, tint: float = 0.0,
     cmf = CMFTable.load()
 
     lo, hi = CCT_RANGE
-    n_bands = int((hi - lo) // 250.0)
+    n_bands = int((hi - lo) // BAND_K)
     metas = []
     for i in range(n_illuminants):
         band = i % n_bands
-        q = rng.uniform(lo + band * 250.0, lo + (band + 1) * 250.0)
+        q = rng.uniform(lo + band * BAND_K, lo + (band + 1) * BAND_K)
         xyz = temp_to_xyz(q, cmf)
         ell = np.linalg.solve(interp_cst(profile, q), xyz)
         if np.any(ell <= 0):
             raise NumericalError(f"profile {name!r} yields a non-positive "
                                  f"illuminant at {q:.0f} K")
-        rg = rg_chromaticity(ell[None])[0] + rng.normal(0, rg_jitter, 2)
+        rg = rg_chromaticity(ell[None])[0] + rng.normal(0, 0.005, 2)
         ell = np.array([rg[0], rg[1], 1.0 - rg[0] - rg[1]])
         if np.any(ell <= 0):
             ell = np.linalg.solve(interp_cst(profile, q), xyz)  # drop jitter

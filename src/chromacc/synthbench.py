@@ -1,8 +1,8 @@
 """Synthetic cross-camera benchmark.
 
-Everything here is generated: scenes are rectangle collages with a global
-reflectance cast (so their mean is not gray and the gray-world baseline
-carries a real bias) under a smooth shading ramp; cameras come from
+Everything here is generated: scenes are rectangle collages on a colored
+background (so their mean is not gray and the gray-world baseline carries a
+real bias) under a smooth shading ramp; cameras come from
 make_synthetic_camera; raw captures are reflectance times illuminant.  The
 training set re-renders captures across the training cameras, the held-out
 camera is never augmented into, and the whole pipeline is deterministic
@@ -33,33 +33,29 @@ __all__ = [
 SCENE_SIZE = (48, 64)
 
 
-def render_scene(rng: np.random.Generator, size=SCENE_SIZE,
-                 n_rects: int = 12, cast: float = 0.0) -> np.ndarray:
-    """Random reflectance collage, (H, W, 3), strictly positive.
+def render_scene(rng: np.random.Generator, size=SCENE_SIZE) -> np.ndarray:
+    """Random reflectance collage of 12 rectangles, (H, W, 3), strictly
+    positive.
 
     The colorful rectangles keep the mean reflectance away from gray, which
-    is exactly the error mode of the gray-world baseline.  cast adds a
-    further global per-channel gain; note a global gain is indistinguishable
-    from an illuminant change inside a single image, so it degrades every
-    estimator, not just the baseline.
+    is exactly the error mode of the gray-world baseline.
     """
     h, w = size
     if h < 8 or w < 8:
         raise ValueError("scenes smaller than 8x8 are degenerate")
     refl = np.tile(rng.uniform(0.15, 0.6, 3), (h, w, 1))
-    for _ in range(n_rects):
+    for _ in range(12):
         rh = int(rng.integers(h // 8, h // 2 + 1))
         rw = int(rng.integers(w // 8, w // 2 + 1))
         top = int(rng.integers(0, h - rh + 1))
         left = int(rng.integers(0, w - rw + 1))
         refl[top:top + rh, left:left + rw] = rng.uniform(0.05, 0.95, 3)
-    gains = 1.0 + rng.uniform(-cast, cast, 3) if cast else 1.0
     theta = rng.uniform(0.0, 2.0 * np.pi)
     yy, xx = np.mgrid[0:h, 0:w]
     ramp = xx * np.cos(theta) + yy * np.sin(theta)
     ramp = (ramp - ramp.min()) / max(np.ptp(ramp), 1e-9)
     shade = 0.5 + 0.5 * ramp
-    return refl * gains * shade[..., None]
+    return refl * shade[..., None]
 
 
 def capture(reflectance: np.ndarray, illuminant) -> RawImage:

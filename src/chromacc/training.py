@@ -151,27 +151,23 @@ def adam_step(weights: hn.NetworkWeights, grads: dict, state: AdamState,
 
 # ----- batch assembly -----------------------------------------------------------
 
-def sample_batch(samples, query_ids, m: int, rng: np.random.Generator,
-                 groups: dict = None):
+def sample_batch(samples, query_ids, m: int, rng: np.random.Generator):
     """Pair each query with up to m-1 distinct additional ids from its own
     camera (plans.same_camera); _batch_arrays pads a short list."""
-    if groups is None:
-        groups = plans.camera_groups([s.camera for s in samples])
+    groups = plans.camera_groups([s.camera for s in samples])
     return plans.same_camera([(int(q), samples[q].camera) for q in query_ids],
                              groups, m - 1, rng)
 
 
 def iter_epoch(samples, epoch: int, cfg: TrainConfig, m: int,
-               rng: np.random.Generator, groups: dict = None):
+               rng: np.random.Generator):
     """Yield one epoch's batches; every sample is a query exactly once."""
     if not samples:
         raise ValueError("empty dataset")
-    if groups is None:
-        groups = plans.camera_groups([s.camera for s in samples])
     order = rng.permutation(len(samples))
     bs = batch_size_at(epoch, cfg)
     for start in range(0, len(order), bs):
-        yield sample_batch(samples, order[start:start + bs], m, rng, groups)
+        yield sample_batch(samples, order[start:start + bs], m, rng)
 
 
 def _batch_arrays(samples, batch, m: int):
@@ -267,13 +263,14 @@ def validation_split(samples, fraction: float, rng: np.random.Generator):
     return sorted(train_ids), sorted(val_ids)
 
 
-def _validation_error(samples, plan, weights) -> float:
+def _validation_error(samples, plan, weights, config) -> float:
     if not plan:
         return float("nan")
     errs = []
     for q, extra in plan:
         ell, _, _ = hn.infer_from_stacks(
-            samples[q].stack, [samples[i].stack for i in extra], weights)
+            samples[q].stack, [samples[i].stack for i in extra], weights,
+            config)
         errs.append(angular_error(ell, samples[q].illuminant))
     return float(np.mean(errs))
 
@@ -296,7 +293,6 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
 
     train_ids, val_ids = validation_split(samples, cfg.val_fraction, rng)
     train_set = [samples[i] for i in train_ids]
-    groups = plans.camera_groups([s.camera for s in train_set])
     # each validation query's additional set is fixed once, from its
     # camera's training images, so epochs differ only in the weights
     cameras = [s.camera for s in samples]
@@ -316,7 +312,7 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
         losses, errs = [], []
         lr = cfg.lr
         try:
-            for batch in iter_epoch(train_set, epoch, cfg, arch.m, rng, groups):
+            for batch in iter_epoch(train_set, epoch, cfg, arch.m, rng):
                 stacks, targets = _batch_arrays(train_set, batch, arch.m)
                 loss, pnodes, angles = build_loss(stacks, targets, weights,
                                                   cfg, config)
@@ -333,7 +329,7 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
         except NumericalError as exc:
             return TrainResult(last_good, best, metrics, diverged=True,
                                message=str(exc))
-        val_err = _validation_error(samples, val_plan, weights)
+        val_err = _validation_error(samples, val_plan, weights, config)
         metrics.append(EpochMetrics(epoch, batch_size_at(epoch, cfg), lr,
                                     float(np.mean(losses)),
                                     float(np.mean(errs)), val_err))

@@ -18,11 +18,10 @@ from chromacc.ccc import (
     CCCParams,
     convolve2d,
     estimate_illuminant,
-    evaluate_ccc,
     soft_argmax,
     uv_to_rgb,
 )
-from chromacc.histograms import HistogramConfig, pixel_uv
+from chromacc.histograms import ChromaHistogram, HistogramConfig, pixel_uv
 
 
 def closed_form_softmax(logits):
@@ -93,12 +92,12 @@ def test_softmax_properties():
     logits = rng.normal(scale=5.0, size=(16, 16))
     stack = rng.uniform(size=(4, 16, 16))
     filters = np.zeros((2, 16, 16))
-    p = evaluate_ccc(stack, CCCParams(logits, filters))
+    p = estimate_illuminant(stack, CCCParams(logits, filters))[1]
     assert np.all(p > 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(p, closed_form_softmax(logits), atol=1e-15)
     # shift invariance, and no overflow where exp(logits) alone would
-    q = evaluate_ccc(stack, CCCParams(logits + 1234.5, filters))
+    q = estimate_illuminant(stack, CCCParams(logits + 1234.5, filters))[1]
     np.testing.assert_allclose(p, q, atol=1e-12)
 
 
@@ -178,7 +177,7 @@ def _stack_with_hist(h0, cfg):
     cc = cfg.centers()
     data[:, :, 2] = cc[None, :]
     data[:, :, 3] = cc[:, None]
-    return data
+    return ChromaHistogram(data, cfg)
 
 
 def test_evaluate_ccc_zero_params_uniform():
@@ -187,7 +186,7 @@ def test_evaluate_ccc_zero_params_uniform():
     h[5, 7] = 1.0
     stack = _stack_with_hist(h, cfg)
     params = CCCParams(np.zeros((16, 16)), np.zeros((2, 16, 16)))
-    p = evaluate_ccc(stack, params)
+    p = estimate_illuminant(stack, params)[1]
     np.testing.assert_allclose(p, 1.0 / 256.0, atol=1e-15)
     assert np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -206,7 +205,7 @@ def test_evaluate_ccc_gain_and_modes():
     # manual: logits = bias + gain * (conv(h, F0) + conv(0, F1))
     resp = convolve2d(h, params.filters[0], "direct")
     manual = closed_form_softmax(params.bias + params.gain * resp)
-    np.testing.assert_allclose(evaluate_ccc(stack, params), manual,
+    np.testing.assert_allclose(estimate_illuminant(stack, params)[1], manual,
                                atol=1e-10)
 
 
@@ -271,7 +270,7 @@ def _frozen_softmax2d(logits):
 
 
 def _frozen_estimate_illuminant(stack, params, config):
-    """evaluate_ccc (fft mode) + soft_argmax + uv_to_rgb as they were
+    """The heat map (fft mode) + soft_argmax + uv_to_rgb as they were
     before the head moved onto the tape; stack is (4, n, n)."""
     resp = _frozen_conv_fft(stack[0], params.filters[0])
     resp += _frozen_conv_fft(stack[1], params.filters[1])
@@ -301,18 +300,18 @@ def _random_case(seed, n, with_gain, scale):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 16, 32, 64]),
        with_gain=st.booleans(), scale=st.sampled_from([0.1, 1.0, 10.0]),
-       layout=st.sampled_from(["channel-first", "channel-last"]))
+       layout=st.sampled_from(["channel-first", "histogram"]))
 def test_head_matches_frozen_value_path_bit_for_bit(seed, n, with_gain, scale,
                                                     layout):
     stack, params = _random_case(seed, n, with_gain, scale)
     cfg = HistogramConfig(n=n)
     want_ell, want_p = _frozen_estimate_illuminant(stack, params, cfg)
     given_stack = stack if layout == "channel-first" else \
-        stack.transpose(1, 2, 0).copy()
+        ChromaHistogram(stack.transpose(1, 2, 0), cfg)
     ell, p = estimate_illuminant(given_stack, params, cfg)
     assert np.array_equal(p, want_p)
     assert np.array_equal(ell, want_ell)
-    assert np.array_equal(evaluate_ccc(given_stack, params), want_p)
+    assert np.array_equal(estimate_illuminant(given_stack, params)[1], want_p)
     u, v = soft_argmax(want_p, cfg)
     c = cfg.centers()
     assert u == float((want_p * c[None, :]).sum())

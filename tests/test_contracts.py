@@ -62,8 +62,8 @@ def frozen_estimate_cct(ell_raw, profile):
     return float(qs[best]), csts[best]
 
 
-def frozen_stratified_selection(temps, count, rng, step=250.0):
-    groups = temperature_groups(temps, step)
+def frozen_stratified_selection(temps, count, rng):
+    groups = temperature_groups(temps)
     if not groups:
         raise ValueError("no source temperatures to select from")
     pools = {band: list(rng.permutation(members))

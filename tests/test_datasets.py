@@ -222,17 +222,6 @@ def test_valid_records_of_the_malformed_cases_load(tmp_path):
     assert sample.scene == "s" and sample.meta.iso == 100.0
 
 
-def test_check_files_can_be_disabled(tmp_path):
-    manifest = _manifest_fixture(tmp_path, n_per_camera=1)
-    path = tmp_path / "m.jsonl"
-    write_manifest(manifest, path)
-    (tmp_path / "cam_a_0.pfm").unlink()
-    with pytest.raises(DataError):
-        load_dataset(path)
-    back = load_dataset(path, check_files=False)
-    assert len(back.samples) == 2
-
-
 def test_meta_round_trips_through_manifest(tmp_path):
     manifest = _manifest_fixture(tmp_path, n_per_camera=1)
     path = tmp_path / "m.jsonl"

@@ -9,7 +9,7 @@ import chromacc.autodiff as ad
 import chromacc.ccc as ccc
 import chromacc.hypernet as hn
 from chromacc.floatmap import DataError
-from chromacc.histograms import (HistogramConfig, RawImage,
+from chromacc.histograms import (ChromaHistogram, HistogramConfig, RawImage,
                                  assemble_feature_stack)
 
 
@@ -139,12 +139,33 @@ def test_stack_input_forms_equivalent():
     cfg = HistogramConfig(n=16)
     img = random_image(rng)
     hist_obj = assemble_feature_stack(img, cfg)          # ChromaHistogram
-    chan_last = hist_obj.data                            # (n, n, 4)
     chan_first = hist_obj.channel_first()                # (4, n, n)
     outs = [hn.infer_from_stacks(s, [], w, cfg)[0]
-            for s in (hist_obj, chan_last, chan_first)]
+            for s in (hist_obj, chan_first)]
     assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+    # a bare array is read channel-first only: (n, n, 4) is not a stack
+    with pytest.raises(ValueError, match="does not fit"):
+        hn.infer_from_stacks(hist_obj.data, [], w, cfg)
+
+
+def test_channel_first_stack_at_n4_is_not_transposed():
+    # at n = 4 a channel-first stack has the (n, n, 4) shape too; it used
+    # to be taken for channel-last and transposed, in the network input of
+    # a channel-first query and in the head of every query
+    rng = np.random.default_rng(14)
+    arch = hn.ArchitectureConfig(n=4, m=1, depth=1, base_channels=2)
+    w = hn.init_weights(arch, rng)
+    cfg = HistogramConfig(n=4)
+    hist_obj = assemble_feature_stack(random_image(rng), cfg)
+    from_hist = hn.infer_from_stacks(hist_obj, [], w, cfg)
+    from_array = hn.infer_from_stacks(hist_obj.channel_first(), [], w, cfg)
+    for a, b in zip((from_hist[0], from_hist[1].bias, from_hist[2]),
+                    (from_array[0], from_array[1].bias, from_array[2])):
+        assert np.array_equal(a, b)
+    # the heat map is the head on the query as built, not a transpose of it
+    ell, heat = ccc.estimate_illuminant(hist_obj, from_hist[1], cfg)
+    assert np.array_equal(from_hist[2], heat)
+    assert np.array_equal(from_hist[0], ell)
 
 
 def test_stack_batch_rejects_bad_input():
@@ -172,7 +193,8 @@ def test_c5_infer_on_images():
     # heat map is the CCC evaluation of the emitted parameters on the query
     cfg = HistogramConfig(n=16)
     stack = assemble_feature_stack(query, cfg)
-    assert np.allclose(heat, ccc.evaluate_ccc(stack, params), atol=1e-12)
+    assert np.allclose(heat, ccc.estimate_illuminant(stack, params, cfg)[1],
+                       atol=1e-12)
 
 
 def test_c5_infer_drops_empty_additional_images():
@@ -200,7 +222,8 @@ def test_c5_infer_drops_empty_additional_images():
     good_stack = assemble_feature_stack(good, HistogramConfig(n=16))
     planes = good_stack.data.copy()
     planes[..., :2] = 0.0
-    want = hn.infer_from_stacks(planes, [good_stack], w)
+    want = hn.infer_from_stacks(ChromaHistogram(planes, good_stack.config),
+                                [good_stack], w)
     assert np.array_equal(ell, want[0])
     assert np.array_equal(params.bias, want[1].bias)
 

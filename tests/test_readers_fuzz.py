@@ -127,24 +127,16 @@ def swapped_manifest(draw):
     return "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
 
 
-def _load_manifest(check_files):
-    return lambda path: load_dataset(path, check_files=check_files)
-
-
 @settings(max_examples=200, deadline=None)
-@given(blob=swapped_manifest(), check_files=st.booleans())
-def test_load_dataset_fields_raise_only_data_error(valid_files, blob,
-                                                   check_files):
+@given(blob=swapped_manifest())
+def test_load_dataset_fields_raise_only_data_error(valid_files, blob):
     root, _ = valid_files
-    loads_or_data_error(_load_manifest(check_files), root / "fuzzed.jsonl",
-                        blob)
+    loads_or_data_error(load_dataset, root / "fuzzed.jsonl", blob)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), check_files=st.booleans())
-def test_load_dataset_bytes_raise_only_data_error(valid_files, data,
-                                                  check_files):
+@given(data=st.data())
+def test_load_dataset_bytes_raise_only_data_error(valid_files, data):
     root, valid = valid_files
     blob = data.draw(damaged(valid["data.jsonl"], header=64))
-    loads_or_data_error(_load_manifest(check_files), root / "fuzzed.jsonl",
-                        blob)
+    loads_or_data_error(load_dataset, root / "fuzzed.jsonl", blob)

@@ -166,7 +166,8 @@ def test_estimate_cct_rejects_bad_illuminant(cmf):
 def test_raw_to_xyz_neutral_illuminant_identity(cmf):
     rng = np.random.default_rng(2)
     img = RawImage(rng.uniform(0.1, 1.0, (4, 5, 3)))
-    out = sn.raw_to_xyz(img, unit([1.0, 1.0, 1.0]), identity_profile(), cmf)
+    out, _ = sn.raw_to_xyz(img, unit([1.0, 1.0, 1.0]), identity_profile(),
+                           cmf)
     assert np.allclose(out, img.pixels)
 
 
@@ -175,8 +176,9 @@ def test_raw_to_xyz_whitepoint_direction(cmf):
     prof = random_profile(rng)
     ell = unit([0.5, 0.9, 0.7])
     img = RawImage(np.tile(ell, (2, 2, 1)))
-    out = sn.raw_to_xyz(img, ell, prof, cmf)
-    q, cst = sn.estimate_cct(ell, prof, cmf)
+    out, q = sn.raw_to_xyz(img, ell, prof, cmf)
+    q_est, cst = sn.estimate_cct(ell, prof, cmf)
+    assert q == q_est
     white = cst @ np.ones(3)
     assert np.allclose(unit(out[0, 0]), unit(white))
 
@@ -186,8 +188,8 @@ def test_raw_to_xyz_linear(cmf):
     prof = random_profile(rng)
     ell = unit(rng.uniform(0.3, 1.0, 3))
     px = rng.uniform(0.1, 1.0, (3, 4, 3))
-    a = sn.raw_to_xyz(RawImage(px), ell, prof, cmf)
-    b = sn.raw_to_xyz(RawImage(3.0 * px), ell, prof, cmf)
+    a, _ = sn.raw_to_xyz(RawImage(px), ell, prof, cmf)
+    b, _ = sn.raw_to_xyz(RawImage(3.0 * px), ell, prof, cmf)
     assert np.allclose(b, 3.0 * a)
 
 
@@ -196,8 +198,7 @@ def test_xyz_round_trip_recovers_raw(cmf):
     prof = random_profile(rng)
     ell = unit(rng.uniform(0.3, 1.0, 3))
     px = rng.uniform(0.05, 1.0, (6, 7, 3))
-    xyz = sn.raw_to_xyz(RawImage(px), ell, prof, cmf)
-    q, _ = sn.estimate_cct(ell, prof, cmf)
+    xyz, q = sn.raw_to_xyz(RawImage(px), ell, prof, cmf)
     back = sn.xyz_to_target_raw(xyz, ell, prof, q)
     assert np.allclose(back, px, rtol=1e-6, atol=1e-12)
 
@@ -411,8 +412,7 @@ def test_temperature_groups_and_stratified_selection():
 def test_synthetic_camera_zero_perturbation_is_canonical():
     prof, metas = sn.make_synthetic_camera(np.random.default_rng(14),
                                            tint=0.0, perturbation=0.0,
-                                           n_illuminants=8, rg_jitter=0.0,
-                                           name="canon")
+                                           n_illuminants=8, name="canon")
     assert np.allclose(prof.c1, sn.CANONICAL_BASE)
     assert np.allclose(prof.c2, sn.CANONICAL_BASE)
     assert (prof.q1, prof.q2) == (2856.0, 6504.0)

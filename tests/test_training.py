@@ -380,6 +380,20 @@ def test_train_smoke_and_metrics():
     assert min(vals) <= vals[0]
 
 
+def test_validation_scores_on_the_training_histogram_grid(monkeypatch):
+    samples, arch, cfg = train_fixture(epochs=1)
+    grid = HistogramConfig(n=8, bound=1.5)
+    real, seen = hn.infer_from_stacks, []
+
+    def spy(query, extra, weights, config=None):
+        seen.append(config)
+        return real(query, extra, weights, config)
+
+    monkeypatch.setattr(hn, "infer_from_stacks", spy)
+    tr.train(samples, arch, cfg, config=grid)
+    assert seen and all(c is grid for c in seen)
+
+
 def test_train_bit_reproducible():
     samples, arch, cfg = train_fixture()
     r1 = tr.train(samples, arch, cfg)
