@@ -683,8 +683,11 @@ def grad_check(build, leaves: dict, step: float = 1e-4, tol: float = 1e-4,
     difference noise on near-zero gradients from dominating.
 
     max_per_leaf subsamples probe positions per leaf (rng required) so large
-    tensors stay affordable; None probes every element.
+    tensors stay affordable; None probes every element, and a value below 1,
+    which would probe nothing, raises ValueError.
     """
+    if max_per_leaf is not None and max_per_leaf < 1:
+        raise ValueError(f"max_per_leaf must be >= 1, got {max_per_leaf}")
     for leaf in leaves.values():
         leaf.zero_grad()
     out = build()

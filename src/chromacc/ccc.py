@@ -7,9 +7,9 @@ illuminant estimate.  Because a global per-channel gain translates the
 histogram, a single filter bank localizes the illuminant for any shift:
 estimation is a sliding-window search in chroma space.
 
-The head has one definition, _head_nodes, built from autodiff ops.  Training
-builds it on a batch of network outputs and differentiates through it;
-estimate_illuminant builds it on constant Nodes of one stack.  Its
+The head has one definition, _head_nodes, built from autodiff ops.
+hypernet._predict builds it on a batch of network outputs, for training and
+inference; estimate_illuminant builds it on constant Nodes of one stack.  Its
 convolution is the tape's FFT (autodiff.ccc_conv): linear (non-circular),
 same-size, zero-padded, with the kernel anchored at (n//2, n//2):
 

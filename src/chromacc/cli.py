@@ -57,6 +57,13 @@ def _size(text: str):
     return h, w
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_images(path) -> DatasetManifest:
     """load_dataset, and a DataError when the manifest has no image."""
     manifest = load_dataset(path)
@@ -262,7 +269,7 @@ def _build_parser() -> _Parser:
                        help="re-render source images into target cameras")
     p.add_argument("source", help="labeled source manifest")
     p.add_argument("target", help="manifest describing the target cameras")
-    p.add_argument("count", type=int)
+    p.add_argument("count", type=_count)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--k", type=int, default=4,
                    help="metadata neighbors per draw")
@@ -272,7 +279,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth-camera",
                        help="manufacture a virtual camera and captures")
-    p.add_argument("count", type=int, help="number of captures")
+    p.add_argument("count", type=_count, help="number of captures")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--name", default="synth")
     p.add_argument("--tint", type=float, default=0.15)
@@ -298,7 +305,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck",
                        help="verify gradients against finite differences")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--probes", type=int, default=2,
+    p.add_argument("--probes", type=_count, default=2,
                    help="entries checked per parameter tensor")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

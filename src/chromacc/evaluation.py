@@ -131,7 +131,8 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     estimator defaults to the network (weights + histograms); a substitute
     takes (query RawImage, list of the distinct additional RawImages, not
     padded to m-1, as c5_infer takes them) and returns an illuminant
-    estimate.  "none" runs the network in single-image mode.
+    estimate.  "none" draws no additional image: the network runs on the
+    query alone.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
@@ -141,7 +142,6 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     rng = np.random.default_rng(rng)
-    extra = 0 if policy == "none" else weights.arch.m - 1
     scores = ([chroma_variance(s.image) for s in samples]
               if policy in ("vivid", "dull") else None)
     pools = plans.eval_pools([s.camera for s in samples], policy, scores,
@@ -153,17 +153,17 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
         if cfg.n != weights.arch.n:
             raise ValueError(f"histogram size {cfg.n} does not match "
                              f"network input {weights.arch.n}")
-        stacks = [assemble_feature_stack(s.image, cfg) for s in samples]
-        net = weights.with_m(1) if policy == "none" else weights
+        stacks = [assemble_feature_stack(s.image, cfg).channel_first()
+                  for s in samples]
 
     runs = []
     for _ in range(repeats):
         errors = []
         for i, sample in enumerate(samples):
-            adds = plans.draw(pools[i], extra, rng)
+            adds = plans.draw(pools[i], weights.arch.m - 1, rng)
             if estimator is None:
                 ell, _, _ = infer_from_stacks(
-                    stacks[i], [stacks[j] for j in adds], net, cfg)
+                    stacks[i], [stacks[j] for j in adds], weights, cfg)
             else:
                 ell = estimator(sample.image,
                                 [samples[j].image for j in adds])

@@ -27,18 +27,17 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import _snap32
-from .ccc import CCCParams, estimate_illuminant
+from .ccc import CCCParams, _head_nodes
 from .floatmap import DataError
 from .histograms import (ChromaHistogram, EmptyHistogramError,
                          HistogramConfig, RawImage, _coordinate_planes,
                          _stack_array, assemble_feature_stack)
-from .plans import pad
 
 __all__ = [
     "ArchitectureConfig", "NetworkWeights", "init_weights", "param_count",
@@ -60,7 +59,7 @@ MAX_N = 1024
 class ArchitectureConfig:
     """Shape of the hypernetwork.
 
-    m counts total branches (1 query + m-1 additional); n is the histogram
+    m counts branches (1 query + up to m-1 additional); n is the histogram
     size and must be divisible by 2**depth so pooling stays even.
     """
 
@@ -121,11 +120,6 @@ class NetworkWeights:
              for k, s in self.bn.items()},
         )
 
-    def with_m(self, m: int) -> "NetworkWeights":
-        """Same weights viewed as an m-branch network (branch count does not
-        touch any parameter shape)."""
-        return NetworkWeights(replace(self.arch, m=m), self.params, self.bn)
-
 
 def param_count(weights: NetworkWeights) -> int:
     return int(sum(v.size for v in weights.params.values()))
@@ -172,12 +166,14 @@ def forward_maps(stacks: np.ndarray, weights: NetworkWeights, training: bool,
                  param_nodes: dict = None):
     """Build the full network graph.
 
-    stacks: (B, m, 4, n, n) float64.  Returns (maps, param_nodes) where maps
-    holds one Node per decoder: bias (B, 1, n, n), filters (B, 2, n, n),
-    gain (B, 1, n, n) when emitted.  Passing param_nodes reuses existing leaf
-    Nodes so callers (optimizer, gradient checks) keep stable identities
-    across rebuilt graphs; inference passes const leaves, and its graph
-    then keeps no backward state.
+    stacks: (B, m, 4, n, n) float64, query first, 1 <= m <= arch.m.
+    Returns (maps, param_nodes) where maps holds one Node per decoder: bias
+    (B, 1, n, n), filters (B, 2, n, n), gain (B, 1, n, n) when emitted.
+    Passing param_nodes reuses existing leaf Nodes so callers (optimizer,
+    gradient checks) keep stable identities across rebuilt graphs;
+    inference passes const leaves, and its graph then keeps no backward
+    state.  Branches meet only in maxima, so at inference a repeated branch
+    changes nothing; training's batch-norm statistics count each branch.
 
     Level 1 of the encoder runs once per distinct branch image of the batch
     (byte-equal rows share one run) and take_rows hands each branch its
@@ -187,8 +183,8 @@ def forward_maps(stacks: np.ndarray, weights: NetworkWeights, training: bool,
     """
     arch = weights.arch
     b, m = stacks.shape[:2]
-    if m != arch.m:
-        raise ValueError(f"expected m={arch.m} branches, got {m}")
+    if not 1 <= m <= arch.m:
+        raise ValueError(f"expected 1 to {arch.m} branches, got {m}")
     if stacks.shape[2:] != (IN_CHANNELS, arch.n, arch.n):
         raise ValueError(f"bad stack shape {stacks.shape}")
     pnodes = param_nodes if param_nodes is not None else \
@@ -264,37 +260,46 @@ def _decode_nodes(skips, trunk, pnodes, arch, name):
     return ad.conv3x3(d, pnodes[f"{name}.head.w"])  # linear output
 
 
-# ----- public single-image ops --------------------------------------------------
+# ----- prediction ---------------------------------------------------------------
 
-def _params_from_maps(maps, arch, index) -> CCCParams:
-    gain = maps["gain"].value[index, 0] if arch.emit_gain else None
-    return CCCParams(bias=maps["bias"].value[index, 0],
-                     filters=maps["filters"].value[index], gain=gain)
-
-
-def _stack_batch(stacks, arch) -> np.ndarray:
-    """Query-first branch list -> (m, 4, n, n), padded by plans.pad.  The
-    parsed copies are freed on return, before the forward pass."""
-    arrs = [_stack_array(s, arch.n) for s in stacks]
-    return np.stack(pad(arrs[0], arrs[1:], arch.m))
+def _predict(stacks: np.ndarray, weights: NetworkWeights, training: bool,
+             config: HistogramConfig = None, param_nodes: dict = None):
+    """The prediction graph of training and inference: forward_maps, then
+    the CCC head on each query's histograms.  Returns (maps, heat map
+    (B, n, n), unit RGB (B, 3), param_nodes).  config defaults to, and must
+    have, size arch.n."""
+    arch = weights.arch
+    if config is None:
+        config = HistogramConfig(n=arch.n)
+    if config.n != arch.n:
+        raise ValueError(f"histogram size {config.n} does not match "
+                         f"network input {arch.n}")
+    maps, pnodes = forward_maps(stacks, weights, training, param_nodes)
+    b, n = len(stacks), arch.n
+    hists = ad.const(np.ascontiguousarray(stacks[:, 0, :2]))  # query N0, N1
+    gain = ad.reshape(maps["gain"], (b, n, n)) if arch.emit_gain else None
+    prob, ell = _head_nodes(hists, maps["filters"],
+                            ad.reshape(maps["bias"], (b, n, n)), gain, config)
+    return maps, prob, ell, pnodes
 
 
 def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
                       config: HistogramConfig = None):
-    """Run the full estimator on precomputed feature stacks.
+    """Run the full estimator on precomputed feature stacks, the query and
+    up to m-1 additional ones, as given.
 
     Returns (unit illuminant RGB, CCCParams, heat map).
     """
     arch = weights.arch
-    if config is None:
-        config = HistogramConfig(n=arch.n)
-    batch = _stack_batch([query_stack, *additional_stacks], arch)
+    batch = np.stack([_stack_array(s, arch.n)
+                      for s in (query_stack, *additional_stacks)])
     # constant leaves: no node of the graph keeps backward state
     leaves = {k: ad.const(v) for k, v in weights.params.items()}
-    maps, _ = forward_maps(batch[None], weights, False, leaves)
-    params = _params_from_maps(maps, arch, 0)
-    ell, heat = estimate_illuminant(batch[0], params, config)
-    return ell, params, heat
+    maps, prob, ell, _ = _predict(batch[None], weights, False, config, leaves)
+    gain = maps["gain"].value[0, 0] if arch.emit_gain else None
+    params = CCCParams(maps["bias"].value[0, 0], maps["filters"].value[0],
+                       gain)
+    return ell.value[0], params, prob.value[0]
 
 
 def c5_infer(query: RawImage, additional, weights: NetworkWeights,
@@ -303,8 +308,8 @@ def c5_infer(query: RawImage, additional, weights: NetworkWeights,
     images from the same camera.
 
     An additional image with no pixel inside the log-chroma domain is
-    dropped.  Fewer than m-1 remaining additional images are replicated
-    cyclically; with none, the query stands in for them.
+    dropped.  The rest run as given, unrepeated (branches meet in maxima,
+    so a repeat changes nothing); with none, the query runs alone.
 
     A query with no such pixel has no evidence: its two histogram channels
     are zero (the coordinate planes stay), so the heat map is softmax(B) of

@@ -3,7 +3,7 @@
 The network conditions a query on m-1 unlabeled images, so their choice is
 part of the method.  Training, validation and evaluation all take it from
 here.  A plan only ever names distinct ids; `pad` is the one rule that fills
-a short list out to the network's m branches.
+a training query's short list out to m branches; inference runs it as is.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def draw(pool, k: int, rng) -> list:
 
 
 def pad(query, extra, m: int) -> list:
-    """The m branches of one query, ids or stacks alike: the query, then
-    extra repeated cyclically; with no extra the query stands in."""
+    """The m branch ids of one training query: the query, then extra
+    repeated cyclically; with no extra the query stands in."""
     if 1 + len(extra) > m:
         raise ValueError(f"got {1 + len(extra)} branches for m={m}")
     fill = list(extra) or [query]

@@ -16,6 +16,7 @@ possible without any real raw datasets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from importlib import resources
@@ -80,13 +81,18 @@ class CMFTable:
         return float(self.wavelengths[1] - self.wavelengths[0])
 
     @classmethod
+    @functools.cache
     def load(cls) -> "CMFTable":
-        """Read the packaged CIE 1931 2-degree table (columns wavelength_nm,
-        xbar, ybar, zbar)."""
+        """The packaged CIE 1931 2-degree table (columns wavelength_nm, xbar,
+        ybar, zbar), parsed once per process: every call returns that one
+        table, and its arrays are read-only."""
         ref = resources.files("chromacc").joinpath("data/cie1931_2deg_5nm.csv")
         with resources.as_file(ref) as p:
             raw = np.loadtxt(p, delimiter=",", comments="#")
-        return cls(raw[:, 0] * 1e-9, raw[:, 1], raw[:, 2], raw[:, 3])
+        table = cls(raw[:, 0] * 1e-9, raw[:, 1], raw[:, 2], raw[:, 3])
+        for arr in (table.wavelengths, table.xbar, table.ybar, table.zbar):
+            arr.flags.writeable = False
+        return table
 
 
 def planck_spd(q: float, lam) -> np.ndarray:

@@ -21,7 +21,6 @@ from . import autodiff as ad
 from . import hypernet as hn
 from . import plans
 from .autodiff import _snap32
-from .ccc import _head_nodes
 from .floatmap import DataError
 from .histograms import HistogramConfig, unit_illuminant
 
@@ -204,18 +203,8 @@ def build_loss(stacks: np.ndarray, targets: np.ndarray,
     stacks: (B, m, 4, n, n); targets: (B, 3) unit illuminants.  Returns
     (loss Node, param node dict, per-sample angle Node in radians).
     """
-    arch = weights.arch
-    if config is None:
-        config = HistogramConfig(n=arch.n)
-    maps, pnodes = hn.forward_maps(stacks, weights, training,
-                                   param_nodes=param_nodes)
-    b = stacks.shape[0]
-    n = arch.n
-
-    hists = ad.const(np.ascontiguousarray(stacks[:, 0, :2]))  # query N0, N1
-    gain = ad.reshape(maps["gain"], (b, n, n)) if arch.emit_gain else None
-    _, ell = _head_nodes(hists, maps["filters"],
-                         ad.reshape(maps["bias"], (b, n, n)), gain, config)
+    maps, _, ell, pnodes = hn._predict(stacks, weights, training, config,
+                                       param_nodes)
     angles = ad.arccos(ad.dot(ell, ad.const(np.asarray(targets, float))))
 
     per_sample = angles

@@ -472,3 +472,8 @@ def test_grad_check_subsampling():
     assert report.ok
     with pytest.raises(ValueError):
         ad.grad_check(lambda: ad.mean_all(x), {"x": x}, max_per_leaf=3)
+    # no probe at all would pass vacuously
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="max_per_leaf"):
+            ad.grad_check(lambda: ad.mean_all(x), {"x": x}, rng=rng,
+                          max_per_leaf=k)

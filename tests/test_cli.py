@@ -164,6 +164,26 @@ def test_gradcheck_impossible_tolerance_is_numerical_failure(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_gradcheck_without_probes_is_a_usage_error(capsys):
+    # it used to probe nothing and report "gradient check passed"
+    assert main(["gradcheck", "--seed", "0", "--probes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and "passed" not in captured.out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_is_a_usage_error(workspace, tmp_path, capsys, count):
+    # both used to exit 0 after writing a manifest with no image
+    assert main(["synth-camera", "--out-dir", str(tmp_path / "synth"),
+                 "--size", "12x16", "--illuminants", "8", "--", count]) == 1
+    assert main(["augment", str(workspace["alpha"] / "manifest.jsonl"),
+                 str(workspace["beta"] / "manifest.jsonl"),
+                 "--out-dir", str(tmp_path / "aug"), "--", count]) == 1
+    assert not (tmp_path / "synth").exists()
+    assert not (tmp_path / "aug").exists()
+    assert capsys.readouterr().err.count("usage error") == 2
+
+
 def test_usage_errors_exit_1(workspace, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

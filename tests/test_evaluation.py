@@ -217,14 +217,15 @@ def test_network_eval_deterministic_and_single_image_mode():
     r2 = run_eval(weights, samples, policy="random", repeats=2, rng=11)
     assert r1 == r2
 
-    # "none" ignores the rng entirely and matches direct m=1 inference
+    # "none" ignores the rng entirely and matches inference on the query
+    # alone
     report = run_eval(weights, samples, policy="none", repeats=2, rng=5)
     assert report.std.as_tuple() == (0.0,) * 5
     cfg = HistogramConfig(n=16)
     errors = []
     for s in samples:
         ell, _, _ = infer_from_stacks(assemble_feature_stack(s.image, cfg),
-                                      [], weights.with_m(1))
+                                      [], weights)
         errors.append(angular_error(ell, s.illuminant))
     assert report.runs[0] == eval_stats(errors)
 
@@ -239,7 +240,7 @@ def test_run_eval_scores_on_the_given_histogram_grid():
     errors = []
     for s in samples:
         ell, _, _ = infer_from_stacks(assemble_feature_stack(s.image, cfg),
-                                      [], weights.with_m(1), cfg)
+                                      [], weights, cfg)
         errors.append(angular_error(ell, s.illuminant))
     assert report.runs[0] == eval_stats(errors)
 

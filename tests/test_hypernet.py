@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 import chromacc.autodiff as ad
 import chromacc.ccc as ccc
 import chromacc.hypernet as hn
+import chromacc.plans as plans
 from chromacc.floatmap import DataError
 from chromacc.histograms import (ChromaHistogram, HistogramConfig, RawImage,
-                                 assemble_feature_stack)
+                                 _stack_array, assemble_feature_stack)
 
 
 def tiny_arch(**kw):
@@ -89,10 +91,14 @@ def test_forward_map_shapes():
 
 
 def test_forward_rejects_wrong_branch_count():
-    w = tiny_weights()
-    stacks = np.zeros((1, 2, 4, 16, 16))
-    with pytest.raises(ValueError):
-        hn.forward_maps(stacks, w, training=False)
+    w = tiny_weights()  # m = 3
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="expected 1 to 3 branches"):
+            hn.forward_maps(np.zeros((1, m, 4, 16, 16)), w, training=False)
+    for m in (1, 2):
+        maps, _ = hn.forward_maps(np.zeros((1, m, 4, 16, 16)), w,
+                                  training=False)
+        assert maps["bias"].value.shape == (1, 1, 16, 16)
 
 
 def test_branch_permutation_bit_invariant():
@@ -112,7 +118,7 @@ def test_identical_branches_match_single_branch():
     rng = np.random.default_rng(4)
     w = tiny_weights(5)
     q = rng.random((4, 16, 16))
-    e1, p1, h1 = hn.infer_from_stacks(q, [], w.with_m(1))
+    e1, p1, h1 = hn.infer_from_stacks(q, [], w)
     e3, p3, h3 = hn.infer_from_stacks(q, [q, q], w)
     assert np.array_equal(e1, e3)
     assert np.array_equal(p1.bias, p3.bias)
@@ -131,6 +137,60 @@ def test_cyclic_padding_of_additional():
     dup = hn.infer_from_stacks(q, [q, q], w)
     assert np.array_equal(full[0], padded[0])
     assert np.array_equal(none[0], dup[0])
+
+
+def _frozen_padded_infer(query_stack, additional_stacks, weights, config,
+                         single):
+    """infer_from_stacks as it was when a short branch list was padded out
+    to m branches (plans.pad) and the head ran through estimate_illuminant;
+    single views the weights as a one-branch network, as run_eval's "none"
+    policy did."""
+    arch = weights.arch
+    if single:
+        arch = dataclasses.replace(arch, m=1)
+        weights = hn.NetworkWeights(arch, weights.params, weights.bn)
+    arrs = [_stack_array(s, arch.n) for s in [query_stack, *additional_stacks]]
+    batch = np.stack(plans.pad(arrs[0], arrs[1:], arch.m))
+    leaves = {k: ad.const(v) for k, v in weights.params.items()}
+    maps, _ = hn.forward_maps(batch[None], weights, False, leaves)
+    gain = maps["gain"].value[0, 0] if arch.emit_gain else None
+    params = ccc.CCCParams(bias=maps["bias"].value[0, 0],
+                           filters=maps["filters"].value[0], gain=gain)
+    ell, heat = ccc.estimate_illuminant(batch[0], params, config)
+    return ell, params, heat
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([4, 16]), m=st.integers(1, 5),
+       emit_gain=st.booleans(), data=st.data())
+def test_unpadded_inference_matches_padded_path(n, m, emit_gain, data):
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    arch = hn.ArchitectureConfig(n=n, m=m, depth=2, base_channels=2,
+                                 emit_gain=emit_gain)
+    w = mutated_bn(hn.init_weights(arch, rng), seed + 1)
+    cfg = HistogramConfig(n=n)
+    images = rng.random((m, 4, n, n))
+    query = images[0]
+    # additional stacks drawn with repeats, the query among the candidates
+    picks = data.draw(st.lists(st.integers(0, m - 1), max_size=m - 1))
+    extra = [images[i] for i in picks]
+
+    ell, params, heat = hn.infer_from_stacks(query, extra, w, cfg)
+    refs = [_frozen_padded_infer(query, extra, w, cfg, single=False)]
+    if not extra:
+        refs.append(_frozen_padded_infer(query, extra, w, cfg, single=True))
+    for want_ell, want_params, want_heat in refs:
+        assert np.array_equal(ell, want_ell)
+        assert np.array_equal(heat, want_heat)
+        # numpy's max keeps the later operand on a +-0 tie, so only the
+        # sign of an exact zero may differ: array_equal takes -0.0 == 0.0
+        assert np.array_equal(params.bias, want_params.bias)
+        assert np.array_equal(params.filters, want_params.filters)
+        if emit_gain:
+            assert np.array_equal(params.gain, want_params.gain)
+        else:
+            assert params.gain is None and want_params.gain is None
 
 
 def test_stack_input_forms_equivalent():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -38,6 +39,31 @@ def test_cmf_table_loads(cmf):
     assert np.isclose(cmf.step, 5e-9)
     for v in (cmf.xbar, cmf.ybar, cmf.zbar):
         assert np.all(v >= 0)
+
+
+def test_cmf_table_is_parsed_once_and_read_only(monkeypatch):
+    table = sn.CMFTable.load()
+    assert sn.CMFTable.load() is table
+    for arr in (table.wavelengths, table.xbar, table.ybar, table.zbar):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # a camera drawn with the shared table equals one drawn with a freshly
+    # parsed, writable copy, bit for bit
+    ref = sn.resources.files("chromacc").joinpath("data/cie1931_2deg_5nm.csv")
+    raw = np.loadtxt(str(ref), delimiter=",", comments="#")
+    fresh = sn.CMFTable(raw[:, 0] * 1e-9, raw[:, 1], raw[:, 2], raw[:, 3])
+    draws = []
+    for load in (sn.CMFTable.load, lambda: fresh):
+        monkeypatch.setattr(sn.CMFTable, "load", load)
+        draws.append(sn.make_synthetic_camera(
+            np.random.default_rng(7), tint=0.15, perturbation=0.04,
+            n_illuminants=16))
+    (p1, m1), (p2, m2) = draws
+    assert np.array_equal(p1.c1, p2.c1) and np.array_equal(p1.c2, p2.c2)
+    assert len(m1) == len(m2) == 16
+    for a, b in zip(m1, m2):
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
 
 
 def test_cmf_validation():
