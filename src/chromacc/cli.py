@@ -64,6 +64,23 @@ def _count(text: str) -> int:
     return value
 
 
+def _tint(text: str) -> float:
+    # the red/blue skew is 1 / (1 + t) with t drawn from [-tint, tint), so
+    # 1 + t > 0 needs tint < 1
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
+def _perturbation(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value}")
+    return value
+
+
 def _load_images(path) -> DatasetManifest:
     """load_dataset, and a DataError when the manifest has no image."""
     manifest = load_dataset(path)
@@ -282,8 +299,8 @@ def _build_parser() -> _Parser:
     p.add_argument("count", type=_count, help="number of captures")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--name", default="synth")
-    p.add_argument("--tint", type=float, default=0.15)
-    p.add_argument("--perturbation", type=float, default=0.04)
+    p.add_argument("--tint", type=_tint, default=0.15)
+    p.add_argument("--perturbation", type=_perturbation, default=0.04)
     p.add_argument("--illuminants", type=int, default=64)
     p.add_argument("--size", type=_size, default=(48, 64),
                    help="capture size as HxW")

@@ -14,12 +14,25 @@ Bins partition [-bound, bound) half-open: bin i covers
 [lo + i*eps, lo + (i+1)*eps), so every in-range value lands in exactly one
 bin and u == +bound falls outside.
 
-A feature stack walks its image once.  The log of the positive components
-is taken a single time, and both histogram channels read it: the pixel
-channel as log g - log r and log g - log b, the gradient channel through
-forward differences of the same log.  Each channel keeps only its valid
-entries, in raster order, and fills the grid with one np.bincount, which
-adds the weights of a bin in that order.
+A feature stack walks its image once, down its rows in bands of
+BAND_PIXELS pixels (whole rows, at least one per band).  The log of each
+band is taken once, with one more row that the gradient's y-difference
+reads, and both histogram channels read it: the pixel channel as
+log g - log r and log g - log b, the gradient channel through forward
+differences of the same log.  Each band's valid entries are added to two
+running flat grids with np.add.at, one weight at a time in raster order,
+so every bin receives the whole image's weights in the same order and from
+the same zero as one pass over the image would add them: the histograms do
+not depend on where the bands are cut.  Where every entry of a band is
+valid, as in an image whose pixels are all positive and masked-in, the
+band is read in place instead of having its entries selected.
+
+The band size is a fixed constant, not an option.  It bounds the walk's
+temporaries whatever the image size (a band's planes are 96 KB, its
+three-channel arrays 288 KB, about 2 MB in all), so one band's heap memory
+serves the next band and the next image.  Whole-image temporaries would
+instead be handed back to the system after each image and faulted in
+again for the next.
 """
 
 from __future__ import annotations
@@ -43,6 +56,9 @@ __all__ = [
 
 # largest pixel value: float32's maximum, the most a float map can hold
 PIXEL_MAX = float(np.finfo(np.float32).max)
+
+# pixels per row band of the walk: 96 KB per float64 plane of a band
+BAND_PIXELS = 12288
 
 
 class EmptyHistogramError(ValueError):
@@ -187,58 +203,72 @@ def pixel_uv(pixels: np.ndarray):
     return u, v, valid
 
 
-def _log_image(image: RawImage):
-    """The one log of an image that both histogram channels read.
-
-    Returns channel-first (3, H, W) pixels and their log, plus the (H, W)
-    mask ok of masked-in pixels whose three components are all positive.
-    Non-positive components get a placeholder log of 0; only ok pixels'
-    logs are ever used.
-    """
-    px = np.ascontiguousarray(image.pixels.transpose(2, 0, 1))
-    pos = px > 0
-    logp = np.log(np.where(pos, px, 1.0))
-    ok = image.mask & pos[0] & pos[1] & pos[2]
-    return px, logp, ok
-
-
-def _pixel_entries(px, logp, ok):
-    """(u, v, weight) of every ok pixel in raster order, weighted by its
-    brightness ||c||_2."""
-    lr, lg, lb = (c[ok] for c in logp)
-    r, g, b = (c[ok] for c in px)
-    return lg - lr, lg - lb, np.sqrt(r * r + g * g + b * b)
-
-
-def _gradient_entries(logp, ok):
-    """(u, v, weight) of every valid gradient triplet in raster order.
-
-    Per channel the triplet holds |forward diff along x| + |forward diff
-    along y| of the log image.  It is valid when the pixel and both forward
-    neighbours are ok (so never on the last row or column) and all three
-    magnitudes are positive, and it is weighted by its magnitude ||m||_2.
-    """
-    base = logp[:, :-1, :-1]
-    mr, mg, mb = np.abs(logp[:, :-1, 1:] - base) + np.abs(logp[:, 1:, :-1] - base)
-    valid = (ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, :-1]
-             & (mr > 0) & (mg > 0) & (mb > 0))
-    mr, mg, mb = mr[valid], mg[valid], mb[valid]
-    lr, lg, lb = np.log(mr), np.log(mg), np.log(mb)
-    return lg - lr, lg - lb, np.sqrt(mr * mr + mg * mg + mb * mb)
-
-
-def _channel(entries, config: HistogramConfig, source: str,
-             normalize: bool = True) -> np.ndarray:
-    """Bin (u, v, weight) entries onto the (v, u) grid; entries outside the
-    half-open domain are dropped.  An empty pixel channel raises
-    EmptyHistogramError, an empty gradient channel stays all zero."""
-    u, v, w = entries
+def _add(hist, logs, vals, config: HistogramConfig):
+    """Bin (k, 3) entries into the flat (v, u) grid hist: (u, v) =
+    (log g - log r, log g - log b) from their logs, weight ||vals||_2.
+    np.add.at adds the weights one at a time in entry order; entries outside
+    the half-open domain are dropped."""
     n = config.n
-    iu = config.bin_index(u)
-    iv = config.bin_index(v)
-    inside = (iu >= 0) & (iu < n) & (iv >= 0) & (iv < n)
-    hist = np.bincount(iv[inside] * n + iu[inside], w[inside],
-                       minlength=n * n).reshape(n, n)
+    iu = config.bin_index(logs[:, 1] - logs[:, 0])
+    iv = config.bin_index(logs[:, 1] - logs[:, 2])
+    r, g, b = vals[:, 0], vals[:, 1], vals[:, 2]
+    w = np.sqrt(r * r + g * g + b * b)
+    # a negative index reads as a huge unsigned one, so one test per axis
+    inside = (iu.view(np.uint64) < n) & (iv.view(np.uint64) < n)
+    np.add.at(hist, (iv * n + iu)[inside], w[inside])
+
+
+def _walk(image: RawImage, config: HistogramConfig) -> np.ndarray:
+    """Unnormalized pixel and gradient sums of an image, (2, n*n) over the
+    flat (v, u) grid, from one walk down its rows in bands.
+
+    A pixel counts when it is masked-in and its three components are
+    positive (ok).  A gradient triplet holds, per channel, |forward diff
+    along x| + |forward diff along y| of the log image; it counts when the
+    pixel and both forward neighbours are ok (so never on the last row or
+    column) and all three magnitudes are positive.  A zero component's log
+    is -inf, and no counted entry reads it.
+    """
+    sums = np.zeros((2, config.n * config.n))
+    h, w = image.mask.shape
+    rows = max(1, BAND_PIXELS // max(w, 1))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        band = image.pixels[r0:r1 + 1]   # one more row for the y-difference
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.log(band)
+        ok = image.mask[r0:r1 + 1]
+        pos = band > 0
+        if not pos.all():
+            ok = ok & pos[..., 0] & pos[..., 1] & pos[..., 2]
+
+        k = r1 - r0
+        _add(sums[0], _select(logp[:k], ok[:k]), _select(band[:k], ok[:k]),
+             config)
+
+        k = len(band) - 1                # rows with a row below them
+        base = logp[:k, :-1]
+        with np.errstate(invalid="ignore"):
+            mag = np.abs(logp[:k, 1:] - base) + np.abs(logp[1:, :-1] - base)
+        valid = (ok[:k, :-1] & ok[:k, 1:] & ok[1:, :-1]
+                 & (mag[..., 0] > 0) & (mag[..., 1] > 0) & (mag[..., 2] > 0))
+        mag = _select(mag, valid)
+        _add(sums[1], np.log(mag), mag, config)
+    return sums
+
+
+def _select(a, keep) -> np.ndarray:
+    """The (k, 3) rows of an (h, w, 3) array where keep holds, in raster
+    order.  Where keep holds everywhere this is a reshape, a view of a
+    contiguous array, instead of the copy a selection makes."""
+    return a.reshape(-1, 3) if keep.all() else a[keep]
+
+
+def _finish(hist, config: HistogramConfig, source: str,
+            normalize: bool = True) -> np.ndarray:
+    """The (n, n) channel of a flat sum: an empty pixel channel raises
+    EmptyHistogramError, an empty gradient channel stays all zero."""
+    hist = hist.reshape(config.n, config.n)
     total = hist.sum()
     if total == 0.0:
         if source == "pixels":
@@ -259,32 +289,27 @@ def build_histogram(image: RawImage, config: HistogramConfig = HistogramConfig()
     its components are positive, and its (u, v) falls inside the half-open
     domain.
 
-    The image is walked once: its log is taken a single time, only the
-    valid entries are binned, and one np.bincount call fills the grid,
-    adding each bin's weights in raster order.
-
     Raises EmptyHistogramError when source == "pixels" and nothing survives;
     an image with no valid gradients (e.g. constant) yields an all-zero
     gradient histogram instead, since flatness is informative there.
     """
     if source not in ("pixels", "gradients"):
         raise ValueError(f"unknown source {source!r}")
-    px, logp, ok = _log_image(image)
-    entries = (_pixel_entries(px, logp, ok) if source == "pixels"
-               else _gradient_entries(logp, ok))
-    return _channel(entries, config, source, normalize)
+    sums = _walk(image, config)
+    return _finish(sums[0 if source == "pixels" else 1], config, source,
+                   normalize)
 
 
 def assemble_feature_stack(image: RawImage,
                            config: HistogramConfig = HistogramConfig()
                            ) -> ChromaHistogram:
-    """Full 4-channel network input for one image.  Both histogram channels
-    read one log of the image; raises EmptyHistogramError as build_histogram
-    does for the pixel channel."""
-    px, logp, ok = _log_image(image)
+    """Full 4-channel network input for one image, from one walk of it;
+    raises EmptyHistogramError as build_histogram does for the pixel
+    channel."""
+    sums = _walk(image, config)
     data = _coordinate_planes(config)
-    data[:, :, 0] = _channel(_pixel_entries(px, logp, ok), config, "pixels")
-    data[:, :, 1] = _channel(_gradient_entries(logp, ok), config, "gradients")
+    data[:, :, 0] = _finish(sums[0], config, "pixels")
+    data[:, :, 1] = _finish(sums[1], config, "gradients")
     return ChromaHistogram(data, config)
 
 

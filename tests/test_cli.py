@@ -184,6 +184,27 @@ def test_count_below_one_is_a_usage_error(workspace, tmp_path, capsys, count):
     assert capsys.readouterr().err.count("usage error") == 2
 
 
+@pytest.mark.parametrize("flag", ["--tint", "--perturbation"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+def test_synth_camera_bad_draw_scale_is_a_usage_error(tmp_path, capsys,
+                                                       flag, value):
+    # nan and inf used to end in a raw OverflowError (--tint) or a
+    # "numerical failure" exit 3 (--perturbation), and a negative value in a
+    # numpy message that named no flag
+    out = tmp_path / "synth"
+    assert main(["synth-camera", "2", "--out-dir", str(out), "--size", "12x16",
+                 "--illuminants", "8", flag, value]) == 1
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_camera_tint_must_stay_below_one(tmp_path, capsys):
+    # the red/blue skew 1 / (1 + t) needs t > -1 for every draw in [-1, 1)
+    assert main(["synth-camera", "2", "--out-dir", str(tmp_path / "s"),
+                 "--tint", "1"]) == 1
+    assert "argument --tint" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(workspace, capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

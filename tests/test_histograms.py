@@ -6,12 +6,14 @@ the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromacc import histograms
 from chromacc.histograms import (
     ChromaHistogram,
     EmptyHistogramError,
@@ -371,3 +373,71 @@ def test_rendered_capture_matches_reference():
     img = capture(render_scene(rng, WORKING_RES), (0.3, 0.6, 0.45))
     img.mask[100:140, 200:260] = False
     _assert_matches_reference(img, CFG)
+
+
+# ----- band seams -----
+#
+# The walk goes down the image in bands of histograms.BAND_PIXELS pixels
+# (whole rows, at least one).  Images drawn above fit in one band, so here
+# the band is shrunk until an image spans many, and a hole (a zero
+# component or a masked pixel) can sit on a band's last row, where the
+# gradient's y-difference reads the next band's first row.
+
+@given(h=st.integers(1, 16), w=st.integers(1, 12),
+       band=st.integers(1, 64), n=st.sampled_from([2, 16, 64]),
+       spread=st.floats(0.0, 5.0), zero_frac=st.sampled_from([0.0, 0.1]),
+       masked_frac=st.sampled_from([0.0, 0.2]),
+       hole=st.sampled_from([None, "zero", "masked"]),
+       hole_row=st.integers(0, 15), hole_col=st.integers(0, 11),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+# a zero green component on the last row of the first 2-row band
+@example(h=10, w=3, band=6, n=64, spread=0.5, zero_frac=0.0, masked_frac=0.0,
+         hole="zero", hole_row=1, hole_col=1, seed=5)
+# a masked pixel on the last row of the second 3-row band
+@example(h=11, w=4, band=12, n=16, spread=0.5, zero_frac=0.0,
+         masked_frac=0.0, hole="masked", hole_row=5, hole_col=2, seed=6)
+# one-row bands: the band is narrower than a row
+@example(h=9, w=7, band=3, n=64, spread=1.0, zero_frac=0.1, masked_frac=0.2,
+         hole=None, hole_row=0, hole_col=0, seed=7)
+# a 1-pixel-wide image: no gradients, bands of 5 rows
+@example(h=16, w=1, band=5, n=16, spread=1.0, zero_frac=0.1, masked_frac=0.0,
+         hole=None, hole_row=0, hole_col=0, seed=8)
+def test_banded_walk_matches_reference(h, w, band, n, spread, zero_frac,
+                                       masked_frac, hole, hole_row, hole_col,
+                                       seed):
+    rng = np.random.default_rng(seed)
+    px = np.exp(rng.uniform(-spread, spread, (h, w, 3)))
+    px[rng.random((h, w, 3)) < zero_frac] = 0.0
+    mask = rng.random((h, w)) >= masked_frac
+    at = (hole_row % h, hole_col % w)
+    if hole == "zero":
+        px[at + (1,)] = 0.0
+    elif hole == "masked":
+        mask[at] = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(histograms, "BAND_PIXELS", band)
+        _assert_matches_reference(RawImage(px, mask), HistogramConfig(n=n))
+
+
+def test_feature_stack_memory_stays_flat():
+    # the walk's temporaries are a band's worth, whatever the image size;
+    # one copy of a whole 512x768 image in float64 alone is 9.4 MB
+    rng = np.random.default_rng(0)
+    img = RawImage(rng.uniform(0.01, 1.0, (512, 768, 3)))
+    tracemalloc.start()
+    try:
+        assemble_feature_stack(img, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (0, 0, 3)])
+def test_image_without_pixels(shape):
+    img = RawImage(np.ones(shape))
+    with pytest.raises(EmptyHistogramError):
+        assemble_feature_stack(img, CFG)
+    assert np.array_equal(build_histogram(img, CFG, "gradients"),
+                          np.zeros((64, 64)))
