@@ -35,7 +35,7 @@ flt = np.roll(template[::-1, ::-1], (1, 1), axis=(0, 1)) * 40.0
 params = CCCParams(bias=np.zeros((64, 64)),
                    filters=np.stack([flt, np.zeros_like(flt)]))
 
-ell_hat, heat = estimate_illuminant(stack, params, cfg)
+ell_hat, heat = estimate_illuminant(stack, params)
 print("heat map sums to", heat.sum())
 print("true     ", np.round(ell_true, 4))
 print("estimated", np.round(ell_hat, 4))

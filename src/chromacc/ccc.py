@@ -120,39 +120,34 @@ def _uv_nodes(prob: ad.Node, config: HistogramConfig):
 
 
 def _head_nodes(hists: ad.Node, filters: ad.Node, bias: ad.Node,
-                gain: ad.Node, config: HistogramConfig):
+                gain: ad.Node):
     """The CCC head on the tape, for a batch of B images.
 
     hists, filters: (B, 2, n, n); bias and gain (None for no gain):
     (B, n, n).  Returns the heat map P = softmax(bias + [gain *]
-    sum_i conv(N_i, F_i)) as a (B, n, n) Node and its expected (u, v) as
-    a (B, 3) unit RGB Node.
+    sum_i conv(N_i, F_i)) as a (B, n, n) Node and its expected (u, v) on
+    the grid of size n as a (B, 3) unit RGB Node.
     """
     resp = ad.ccc_conv(hists, filters)
     if gain is not None:
         resp = ad.mul(gain, resp)
     prob = ad.softmax2d(ad.add(bias, resp))
-    return prob, ad.uv_to_rgb(*_uv_nodes(prob, config))
+    grid = HistogramConfig(n=hists.value.shape[-1])
+    return prob, ad.uv_to_rgb(*_uv_nodes(prob, grid))
 
 
-def estimate_illuminant(stack, params: CCCParams,
-                        config: HistogramConfig = None):
+def estimate_illuminant(stack, params: CCCParams):
     """Full evaluator: returns (unit illuminant RGB, heat map P =
-    softmax(bias + [gain *] sum_i conv(N_i, F_i))).
+    softmax(bias + [gain *] sum_i conv(N_i, F_i))) on the grid of size
+    params.n.
 
     stack may be a ChromaHistogram or a channel-first (4, n, n) array; only
-    channels 0-1 (the two histograms) are convolved.  config defaults to
-    the histogram grid of size params.n and must have that size.
+    channels 0-1 (the two histograms) are convolved.
     """
-    if config is None:
-        config = HistogramConfig(n=params.n)
-    if config.n != params.n:
-        raise ValueError(f"histogram size {config.n} does not match the "
-                         f"parameters' size {params.n}")
     hists = _stack_array(stack, params.n)[None, :2]
     gain = None if params.gain is None else ad.const(params.gain[None])
     prob, ell = _head_nodes(ad.const(hists), ad.const(params.filters[None]),
-                            ad.const(params.bias[None]), gain, config)
+                            ad.const(params.bias[None]), gain)
     return ell.value[0], prob.value[0]
 
 

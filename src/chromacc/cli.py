@@ -20,8 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericalError
 from .datasets import (DataError, DatasetManifest, LabeledSample,
-                       leave_one_camera_out, load_dataset, read_raw_image,
-                       write_manifest)
+                       load_dataset, read_raw_image, write_manifest)
 from .evaluation import (POLICIES, EvalSample, format_report, gray_world,
                          run_eval)
 from .floatmap import write_pfm
@@ -107,9 +106,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     manifest = _load_images(args.data)
-    hist = HistogramConfig(n=arch.n)
-    samples = _training_samples(manifest, hist)
-    result = train(samples, arch, cfg, config=hist)
+    samples = _training_samples(manifest, HistogramConfig(n=arch.n))
+    result = train(samples, arch, cfg)
     print(format_metrics(result.metrics))
     save_weights(result.best_weights, args.out)
     print(f"saved weights to {args.out}")
@@ -207,9 +205,10 @@ def cmd_eval(args) -> int:
     manifest = _load_images(args.manifest)
     samples = manifest.samples
     if args.hold_out is not None:
-        _, samples = leave_one_camera_out(manifest, args.hold_out)
+        samples = [s for s in samples if s.camera == args.hold_out]
         if not samples:
-            raise DataError(f"camera {args.hold_out!r} has no images")
+            raise ValueError(f"unknown camera {args.hold_out!r} "
+                             f"(have {manifest.cameras()})")
     eval_samples = [EvalSample(s.load(), s.illuminant, s.camera)
                     for s in samples]
     estimator = None
@@ -240,7 +239,7 @@ def cmd_gradcheck(args) -> int:
     pnodes = {k: ad.param(v) for k, v in weights.params.items()}
 
     def build():
-        loss, _, _ = build_loss(stacks, targets, weights, cfg, config=hist,
+        loss, _, _ = build_loss(stacks, targets, weights, cfg,
                                 training=True, param_nodes=pnodes)
         return loss
 
@@ -288,7 +287,7 @@ def _build_parser() -> _Parser:
     p.add_argument("target", help="manifest describing the target cameras")
     p.add_argument("count", type=_count)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=int, default=4,
+    p.add_argument("--k", type=_count, default=4,
                    help="metadata neighbors per draw")
     p.add_argument("--no-crop", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -311,7 +310,7 @@ def _build_parser() -> _Parser:
     p.add_argument("weights")
     p.add_argument("manifest")
     p.add_argument("--policy", choices=POLICIES, default="random")
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=_count, default=10)
     p.add_argument("--hold-out", default=None,
                    help="evaluate only this camera's images")
     p.add_argument("--estimator", choices=("network", "gray-world"),

@@ -17,7 +17,7 @@ import numpy as np
 from . import plans
 from .histograms import (HistogramConfig, RawImage, assemble_feature_stack,
                          pixel_uv, unit_illuminant)
-from .hypernet import NetworkWeights, infer_from_stacks
+from .hypernet import NetworkWeights, _check_grid, infer_from_stacks
 from .training import angular_error
 
 __all__ = [
@@ -132,7 +132,8 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     takes (query RawImage, list of the distinct additional RawImages, not
     padded to m-1, as c5_infer takes them) and returns an illuminant
     estimate.  "none" draws no additional image: the network runs on the
-    query alone.
+    query alone.  config must describe the network's grid, size arch.n;
+    it is kept only until the benchmark's next revision.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
@@ -149,11 +150,9 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
 
     stacks = None
     if estimator is None:
-        cfg = config if config is not None else HistogramConfig(n=weights.arch.n)
-        if cfg.n != weights.arch.n:
-            raise ValueError(f"histogram size {cfg.n} does not match "
-                             f"network input {weights.arch.n}")
-        stacks = [assemble_feature_stack(s.image, cfg).channel_first()
+        _check_grid(config, weights.arch)
+        grid = HistogramConfig(n=weights.arch.n)
+        stacks = [assemble_feature_stack(s.image, grid).channel_first()
                   for s in samples]
 
     runs = []
@@ -163,7 +162,7 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
             adds = plans.draw(pools[i], weights.arch.m - 1, rng)
             if estimator is None:
                 ell, _, _ = infer_from_stacks(
-                    stacks[i], [stacks[j] for j in adds], weights, cfg)
+                    stacks[i], [stacks[j] for j in adds], weights)
             else:
                 ell = estimator(sample.image,
                                 [samples[j].image for j in adds])

@@ -10,9 +10,11 @@ pixel colors weighted by pixel brightness ||c||_2, channel 1 bins gradient
 colors weighted by gradient magnitude, and channels 2-3 are fixed coordinate
 planes holding the bin-center u and v values.  Rows index v, columns index u.
 
-Bins partition [-bound, bound) half-open: bin i covers
-[lo + i*eps, lo + (i+1)*eps), so every in-range value lands in exactly one
-bin and u == +bound falls outside.
+The domain is fixed: the square [-bound, bound) along u and v with the
+constant bound = 2.85, so the grid is a function of the bin count n alone.
+A network's n is in its weight file, and so is its grid.  Bins partition
+the domain half-open: bin i covers [lo + i*eps, lo + (i+1)*eps), so every
+in-range value lands in exactly one bin and u == +bound falls outside.
 
 A feature stack walks its image once, down its rows in bands of
 BAND_PIXELS pixels (whole rows, at least one per band).  The log of each
@@ -37,7 +39,8 @@ again for the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,18 +72,16 @@ class EmptyHistogramError(ValueError):
 class HistogramConfig:
     """Geometry of the log-chroma histogram.
 
-    n is the number of bins per axis, bound the half-width of the square
-    domain [-bound, bound) along both u and v.
+    n is the number of bins per axis; the class constant bound is the
+    half-width of the square domain [-bound, bound) along both u and v.
     """
 
     n: int = 64
-    bound: float = 2.85
+    bound: ClassVar[float] = 2.85
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if not (self.bound > 0):
-            raise ValueError(f"bound must be positive, got {self.bound}")
 
     @property
     def bin_width(self) -> float:
@@ -144,20 +145,20 @@ class RawImage:
 
 @dataclass
 class ChromaHistogram:
-    """Feature stack over the (u, v) grid, shape (n, n, 4).
+    """Feature stack over the (u, v) grid, shape (n, n, 4); its shape
+    fixes the grid.
 
     Channels: 0 pixel histogram, 1 gradient histogram, 2 u-coordinate plane
     (constant along rows), 3 v-coordinate plane (constant along columns).
     """
 
     data: np.ndarray
-    config: HistogramConfig = field(default_factory=HistogramConfig)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        n = self.config.n
-        if self.data.shape != (n, n, 4):
-            raise ValueError(f"expected ({n}, {n}, 4), got {self.data.shape}")
+        shape = self.data.shape
+        if len(shape) != 3 or shape[1:] != (shape[0], 4):
+            raise ValueError(f"expected (n, n, 4), got {shape}")
 
     def channel_first(self) -> np.ndarray:
         """(4, n, n) view for channel-first consumers."""
@@ -310,7 +311,7 @@ def assemble_feature_stack(image: RawImage,
     data = _coordinate_planes(config)
     data[:, :, 0] = _finish(sums[0], config, "pixels")
     data[:, :, 1] = _finish(sums[1], config, "gradients")
-    return ChromaHistogram(data, config)
+    return ChromaHistogram(data)
 
 
 def _coordinate_planes(config: HistogramConfig) -> np.ndarray:

@@ -91,9 +91,9 @@ class ArchitectureConfig:
     def decoders(self) -> tuple:
         return ("bias", "filters", "gain") if self.emit_gain else ("bias", "filters")
 
-    def decoder_plan(self, name: str):
-        """Per level (top-down): (level, in_channels, out_channels); the last
-        entry is followed by the linear head conv to DECODER_OUT[name]."""
+    def decoder_plan(self):
+        """Every decoder's levels (top-down): (level, in_channels,
+        out_channels), then the linear head conv to DECODER_OUT[name]."""
         ch = self.channels
         plan = []
         prev = ch[-1]
@@ -134,8 +134,9 @@ def _param_shapes(arch: ArchitectureConfig) -> dict:
         shapes[f"enc{lvl}.bn.gamma"] = (c,)
         shapes[f"enc{lvl}.bn.beta"] = (c,)
         cin = c
+    plan = arch.decoder_plan()
     for name in arch.decoders:
-        for lvl, din, dout in arch.decoder_plan(name):
+        for lvl, din, dout in plan:
             shapes[f"{name}.lvl{lvl}.conv.w"] = (dout, din, 3, 3)
             shapes[f"{name}.lvl{lvl}.in.gamma"] = (dout,)
             shapes[f"{name}.lvl{lvl}.in.beta"] = (dout,)
@@ -250,7 +251,7 @@ def _encode_nodes(x, inv, pnodes, weights, training, m):
 
 def _decode_nodes(skips, trunk, pnodes, arch, name):
     d = trunk
-    for lvl, _, _ in arch.decoder_plan(name):
+    for lvl, _, _ in arch.decoder_plan():
         d = ad.upsample2(d)
         d = ad.concat_channels([d, skips[lvl - 1]])
         d = ad.conv3x3(d, pnodes[f"{name}.lvl{lvl}.conv.w"])
@@ -262,29 +263,29 @@ def _decode_nodes(skips, trunk, pnodes, arch, name):
 
 # ----- prediction ---------------------------------------------------------------
 
-def _predict(stacks: np.ndarray, weights: NetworkWeights, training: bool,
-             config: HistogramConfig = None, param_nodes: dict = None):
-    """The prediction graph of training and inference: forward_maps, then
-    the CCC head on each query's histograms.  Returns (maps, heat map
-    (B, n, n), unit RGB (B, 3), param_nodes).  config defaults to, and must
-    have, size arch.n."""
-    arch = weights.arch
-    if config is None:
-        config = HistogramConfig(n=arch.n)
-    if config.n != arch.n:
+def _check_grid(config: HistogramConfig, arch: ArchitectureConfig):
+    """A config= of train, build_loss or run_eval must have size arch.n."""
+    if config is not None and config.n != arch.n:
         raise ValueError(f"histogram size {config.n} does not match "
                          f"network input {arch.n}")
+
+
+def _predict(stacks: np.ndarray, weights: NetworkWeights, training: bool,
+             param_nodes: dict = None):
+    """The prediction graph of training and inference: forward_maps, then
+    the CCC head on each query's histograms, on the grid of size arch.n.
+    Returns (maps, heat map (B, n, n), unit RGB (B, 3), param_nodes)."""
+    arch = weights.arch
     maps, pnodes = forward_maps(stacks, weights, training, param_nodes)
     b, n = len(stacks), arch.n
     hists = ad.const(np.ascontiguousarray(stacks[:, 0, :2]))  # query N0, N1
     gain = ad.reshape(maps["gain"], (b, n, n)) if arch.emit_gain else None
     prob, ell = _head_nodes(hists, maps["filters"],
-                            ad.reshape(maps["bias"], (b, n, n)), gain, config)
+                            ad.reshape(maps["bias"], (b, n, n)), gain)
     return maps, prob, ell, pnodes
 
 
-def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
-                      config: HistogramConfig = None):
+def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights):
     """Run the full estimator on precomputed feature stacks, the query and
     up to m-1 additional ones, as given.
 
@@ -295,15 +296,14 @@ def infer_from_stacks(query_stack, additional_stacks, weights: NetworkWeights,
                       for s in (query_stack, *additional_stacks)])
     # constant leaves: no node of the graph keeps backward state
     leaves = {k: ad.const(v) for k, v in weights.params.items()}
-    maps, prob, ell, _ = _predict(batch[None], weights, False, config, leaves)
+    maps, prob, ell, _ = _predict(batch[None], weights, False, leaves)
     gain = maps["gain"].value[0, 0] if arch.emit_gain else None
     params = CCCParams(maps["bias"].value[0, 0], maps["filters"].value[0],
                        gain)
     return ell.value[0], params, prob.value[0]
 
 
-def c5_infer(query: RawImage, additional, weights: NetworkWeights,
-             config: HistogramConfig = None):
+def c5_infer(query: RawImage, additional, weights: NetworkWeights):
     """Estimate the illuminant of a query image given unlabeled additional
     images from the same camera.
 
@@ -316,22 +316,20 @@ def c5_infer(query: RawImage, additional, weights: NetworkWeights,
     the bias map the network makes from the additional images, CCC's
     no-evidence posterior.  A UserWarning says so.
     """
-    arch = weights.arch
-    if config is None:
-        config = HistogramConfig(n=arch.n)
+    config = HistogramConfig(n=weights.arch.n)
     try:
         qs = assemble_feature_stack(query, config)
     except EmptyHistogramError:
         warnings.warn("the query has no pixel inside the log-chroma domain; "
                       "the estimate is the network's prior", stacklevel=2)
-        qs = ChromaHistogram(_coordinate_planes(config), config)
+        qs = ChromaHistogram(_coordinate_planes(config))
     extra = []
     for img in additional:
         try:
             extra.append(assemble_feature_stack(img, config))
         except EmptyHistogramError:
             continue
-    return infer_from_stacks(qs, extra, weights, config)
+    return infer_from_stacks(qs, extra, weights)
 
 
 # ----- serialization ------------------------------------------------------------

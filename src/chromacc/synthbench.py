@@ -192,15 +192,13 @@ def run_benchmark(seed: int = 0, bench: Benchmark = None,
         # angular term and training collapses to a constant prediction
         cfg = TrainConfig(epochs=30, lr=2e-3, lambda_f=1.5e-4,
                           lambda_b=2e-5, lambda_g=2e-5, seed=seed)
-    result = train(bench.train, arch, cfg, config=bench.hist)
+    result = train(bench.train, arch, cfg)
     weights = result.best_weights
 
     c5 = run_eval(weights, bench.eval_samples, policy="random",
-                  repeats=repeats, rng=np.random.default_rng(seed),
-                  config=bench.hist)
+                  repeats=repeats, rng=np.random.default_rng(seed))
     single = run_eval(weights, bench.eval_samples, policy="none",
-                      repeats=repeats, rng=np.random.default_rng(seed),
-                      config=bench.hist)
+                      repeats=repeats, rng=np.random.default_rng(seed))
     baseline = run_eval(weights, bench.eval_samples, policy="random",
                         repeats=repeats, rng=np.random.default_rng(seed),
                         estimator=lambda img, extra: gray_world(img))

@@ -202,9 +202,11 @@ def build_loss(stacks: np.ndarray, targets: np.ndarray,
 
     stacks: (B, m, 4, n, n); targets: (B, 3) unit illuminants.  Returns
     (loss Node, param node dict, per-sample angle Node in radians).
+    config must describe the network's grid, size arch.n; it is kept only
+    until the benchmark's next revision.
     """
-    maps, _, ell, pnodes = hn._predict(stacks, weights, training, config,
-                                       param_nodes)
+    hn._check_grid(config, weights.arch)
+    maps, _, ell, pnodes = hn._predict(stacks, weights, training, param_nodes)
     angles = ad.arccos(ad.dot(ell, ad.const(np.asarray(targets, float))))
 
     per_sample = angles
@@ -229,8 +231,7 @@ class EpochMetrics:
 
 @dataclass
 class TrainResult:
-    weights: hn.NetworkWeights        # final (or last good, on divergence)
-    best_weights: hn.NetworkWeights   # lowest validation error snapshot
+    best_weights: hn.NetworkWeights   # epoch-end snapshot, see train
     metrics: list
     diverged: bool = False
     message: str = ""
@@ -252,14 +253,13 @@ def validation_split(samples, fraction: float, rng: np.random.Generator):
     return sorted(train_ids), sorted(val_ids)
 
 
-def _validation_error(samples, plan, weights, config) -> float:
+def _validation_error(samples, plan, weights) -> float:
     if not plan:
         return float("nan")
     errs = []
     for q, extra in plan:
         ell, _, _ = hn.infer_from_stacks(
-            samples[q].stack, [samples[i].stack for i in extra], weights,
-            config)
+            samples[q].stack, [samples[i].stack for i in extra], weights)
         errs.append(angular_error(ell, samples[q].illuminant))
     return float(np.mean(errs))
 
@@ -268,17 +268,21 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
           config: HistogramConfig = None) -> TrainResult:
     """Optimize a fresh network on labeled feature stacks.
 
-    Deterministic given cfg.seed.  On divergence (non-finite loss or
-    gradients) training stops and the result carries the last epoch-end
-    weights with diverged=True.
+    Deterministic given cfg.seed.  At each epoch end the weights are kept
+    when their validation error is the lowest so far, or always when
+    nothing is held out.  On divergence (non-finite loss or gradients)
+    training stops and the result carries the kept weights with
+    diverged=True.  config must describe the network's grid, size
+    arch.n; it is kept only until the benchmark's next revision.
     """
     if not samples:
         raise ValueError("empty dataset")
+    hn._check_grid(config, arch)
     rng = np.random.default_rng(cfg.seed)
     weights = hn.init_weights(arch, rng)
     metrics: list[EpochMetrics] = []
     if cfg.epochs == 0:
-        return TrainResult(weights, weights.copy(), metrics)
+        return TrainResult(weights, metrics)
 
     train_ids, val_ids = validation_split(samples, cfg.val_fraction, rng)
     train_set = [samples[i] for i in train_ids]
@@ -295,7 +299,6 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
     step = 0
     best_err = float("inf")
     best = weights.copy()
-    last_good = weights.copy()
 
     for epoch in range(1, cfg.epochs + 1):
         losses, errs = [], []
@@ -304,7 +307,7 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
             for batch in iter_epoch(train_set, epoch, cfg, arch.m, rng):
                 stacks, targets = _batch_arrays(train_set, batch, arch.m)
                 loss, pnodes, angles = build_loss(stacks, targets, weights,
-                                                  cfg, config)
+                                                  cfg)
                 if not np.isfinite(loss.value):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch} step {step}")
@@ -316,19 +319,16 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
                 losses.append(float(loss.value))
                 errs.append(float(np.degrees(angles.value).mean()))
         except NumericalError as exc:
-            return TrainResult(last_good, best, metrics, diverged=True,
+            return TrainResult(best, metrics, diverged=True,
                                message=str(exc))
-        val_err = _validation_error(samples, val_plan, weights, config)
+        val_err = _validation_error(samples, val_plan, weights)
         metrics.append(EpochMetrics(epoch, batch_size_at(epoch, cfg), lr,
                                     float(np.mean(losses)),
                                     float(np.mean(errs)), val_err))
-        last_good = weights.copy()
-        if val_plan and val_err < best_err:
+        if not val_plan or val_err < best_err:
             best_err = val_err
             best = weights.copy()
-    if not val_plan:
-        best = weights.copy()
-    return TrainResult(weights, best, metrics)
+    return TrainResult(best, metrics)
 
 
 # ----- config file and metrics text ---------------------------------------------

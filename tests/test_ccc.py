@@ -102,7 +102,7 @@ def test_softmax_properties():
 
 
 def test_soft_argmax_uniform_and_onehot():
-    cfg = HistogramConfig(n=16, bound=2.85)
+    cfg = HistogramConfig(n=16)
     p = np.full((16, 16), 1.0 / 256.0)
     u, v = soft_argmax(p, cfg)
     assert abs(u) < 1e-12 and abs(v) < 1e-12
@@ -177,7 +177,7 @@ def _stack_with_hist(h0, cfg):
     cc = cfg.centers()
     data[:, :, 2] = cc[None, :]
     data[:, :, 3] = cc[:, None]
-    return ChromaHistogram(data, cfg)
+    return ChromaHistogram(data)
 
 
 def test_evaluate_ccc_zero_params_uniform():
@@ -218,7 +218,7 @@ def test_estimate_illuminant_peaked_bias():
     iv, iu = 9, 21
     bias[iv, iu] = 60.0  # softmax saturates at this bin
     params = CCCParams(bias, np.zeros((2, 32, 32)))
-    ell, p = estimate_illuminant(stack, params, cfg)
+    ell, p = estimate_illuminant(stack, params)
     c = cfg.centers()
     expected = uv_to_rgb(c[iu], c[iv])
     np.testing.assert_allclose(ell, expected, atol=1e-9)
@@ -227,7 +227,8 @@ def test_estimate_illuminant_peaked_bias():
 
 
 def test_estimate_illuminant_defaults_to_the_parameters_grid():
-    # n = 16: the default grid is the parameters' size, not 64
+    # n = 16: (u, v) is read on the parameters' 16-bin grid, not the
+    # 64-bin default
     cfg = HistogramConfig(n=16)
     h = np.zeros((16, 16))
     h[3, 5] = 1.0
@@ -236,10 +237,8 @@ def test_estimate_illuminant_defaults_to_the_parameters_grid():
     params = CCCParams(rng.normal(size=(16, 16)),
                        rng.normal(size=(2, 16, 16)))
     ell, p = estimate_illuminant(stack, params)
-    want_ell, want_p = estimate_illuminant(stack, params, cfg)
-    assert np.array_equal(ell, want_ell) and np.array_equal(p, want_p)
-    with pytest.raises(ValueError, match="histogram size 64 does not match"):
-        estimate_illuminant(stack, params, HistogramConfig())
+    np.testing.assert_allclose(ell, uv_to_rgb(*soft_argmax(p, cfg)),
+                               rtol=1e-14)
 
 
 def test_ccc_params_validation():
@@ -307,11 +306,10 @@ def test_head_matches_frozen_value_path_bit_for_bit(seed, n, with_gain, scale,
     cfg = HistogramConfig(n=n)
     want_ell, want_p = _frozen_estimate_illuminant(stack, params, cfg)
     given_stack = stack if layout == "channel-first" else \
-        ChromaHistogram(stack.transpose(1, 2, 0), cfg)
-    ell, p = estimate_illuminant(given_stack, params, cfg)
+        ChromaHistogram(stack.transpose(1, 2, 0))
+    ell, p = estimate_illuminant(given_stack, params)
     assert np.array_equal(p, want_p)
     assert np.array_equal(ell, want_ell)
-    assert np.array_equal(estimate_illuminant(given_stack, params)[1], want_p)
     u, v = soft_argmax(want_p, cfg)
     c = cfg.centers()
     assert u == float((want_p * c[None, :]).sum())

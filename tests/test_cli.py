@@ -146,6 +146,15 @@ def test_eval_gray_world_and_hold_out(workspace, capsys):
     assert "mean" in capsys.readouterr().out
 
 
+def test_eval_hold_out_on_a_one_camera_manifest(workspace, capsys):
+    # evaluation needs no training split: holding out the only camera
+    # used to exit 1, "leave-one-camera-out needs at least 2 cameras"
+    assert main(["eval", str(workspace["weights"]),
+                 str(workspace["alpha"] / "manifest.jsonl"), "--repeats", "1",
+                 "--hold-out", "alpha", "--policy", "none"]) == 0
+    assert "mean" in capsys.readouterr().out
+
+
 def test_eval_cross_camera_policy(workspace, capsys):
     assert main(["eval", str(workspace["weights"]), str(workspace["both"]),
                  "--repeats", "1", "--policy", "cross-camera",
@@ -173,15 +182,25 @@ def test_gradcheck_without_probes_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_count_below_one_is_a_usage_error(workspace, tmp_path, capsys, count):
-    # both used to exit 0 after writing a manifest with no image
+    # the two counts used to exit 0 after writing a manifest with no image;
+    # augment --k used to load both manifests and leave an empty --out-dir,
+    # and eval --repeats to load every image, before failing
+    alpha = str(workspace["alpha"] / "manifest.jsonl")
+    beta = str(workspace["beta"] / "manifest.jsonl")
     assert main(["synth-camera", "--out-dir", str(tmp_path / "synth"),
                  "--size", "12x16", "--illuminants", "8", "--", count]) == 1
-    assert main(["augment", str(workspace["alpha"] / "manifest.jsonl"),
-                 str(workspace["beta"] / "manifest.jsonl"),
+    assert main(["augment", alpha, beta,
                  "--out-dir", str(tmp_path / "aug"), "--", count]) == 1
+    assert main(["augment", alpha, beta, "1",
+                 "--out-dir", str(tmp_path / "aug_k"), f"--k={count}"]) == 1
+    assert main(["eval", str(workspace["weights"]), alpha,
+                 f"--repeats={count}"]) == 1
     assert not (tmp_path / "synth").exists()
     assert not (tmp_path / "aug").exists()
-    assert capsys.readouterr().err.count("usage error") == 2
+    assert not (tmp_path / "aug_k").exists()
+    err = capsys.readouterr().err
+    assert err.count("usage error") == 4
+    assert "argument --k" in err and "argument --repeats" in err
 
 
 @pytest.mark.parametrize("flag", ["--tint", "--perturbation"])

@@ -230,21 +230,6 @@ def test_network_eval_deterministic_and_single_image_mode():
     assert report.runs[0] == eval_stats(errors)
 
 
-def test_run_eval_scores_on_the_given_histogram_grid():
-    # a custom bound reaches the head too: the heat map's (u, v) is read on
-    # the grid the stacks were built on, not on the default one
-    samples = _sample_set(cameras=1, per_camera=3)
-    weights = _tiny_weights(m=3)
-    cfg = HistogramConfig(n=16, bound=1.5)
-    report = run_eval(weights, samples, policy="none", repeats=1, config=cfg)
-    errors = []
-    for s in samples:
-        ell, _, _ = infer_from_stacks(assemble_feature_stack(s.image, cfg),
-                                      [], weights, cfg)
-        errors.append(angular_error(ell, s.illuminant))
-    assert report.runs[0] == eval_stats(errors)
-
-
 def test_run_eval_validation():
     samples = _sample_set(cameras=1, per_camera=2)
     weights = _tiny_weights()

@@ -26,13 +26,21 @@ from chromacc.histograms import (
 from chromacc.datasets import WORKING_RES
 from chromacc.synthbench import capture, render_scene
 
-CFG = HistogramConfig()  # n=64, bound=2.85
+CFG = HistogramConfig()  # n=64
 
 
 def test_config_defaults():
     assert CFG.n == 64
     assert CFG.bound == 2.85
     assert CFG.bin_width == pytest.approx(0.0890625, abs=0.0)
+
+
+def test_domain_is_a_constant():
+    # every grid spans the same [-2.85, 2.85) domain; only n is set
+    assert HistogramConfig.bound == 2.85
+    assert HistogramConfig(n=16).bound == 2.85
+    with pytest.raises(TypeError):
+        HistogramConfig(n=16, bound=1.5)
 
 
 def _uv(pixel):
@@ -232,8 +240,10 @@ def test_feature_stack_shape_and_wrapper():
     stack = assemble_feature_stack(img, HistogramConfig(n=32))
     assert stack.data.shape == (32, 32, 4)
     assert stack.channel_first().shape == (4, 32, 32)
-    with pytest.raises(ValueError):
-        ChromaHistogram(np.zeros((16, 16, 4)), HistogramConfig(n=32))
+    # the grid is the stack's shape: square, four channels
+    for shape in ((16, 32, 4), (16, 16, 3), (16, 16)):
+        with pytest.raises(ValueError):
+            ChromaHistogram(np.zeros(shape))
 
 
 def test_raw_image_validation():

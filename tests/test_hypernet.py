@@ -47,7 +47,7 @@ def test_arch_validation():
 
 def test_decoder_plan_chains_channels():
     arch = hn.ArchitectureConfig()
-    plan = arch.decoder_plan("bias")
+    plan = arch.decoder_plan()
     assert [lvl for lvl, _, _ in plan] == [4, 3, 2, 1]
     # top level consumes bottleneck + deepest skip
     assert plan[0][1] == 64 + 64
@@ -139,8 +139,7 @@ def test_cyclic_padding_of_additional():
     assert np.array_equal(none[0], dup[0])
 
 
-def _frozen_padded_infer(query_stack, additional_stacks, weights, config,
-                         single):
+def _frozen_padded_infer(query_stack, additional_stacks, weights, single):
     """infer_from_stacks as it was when a short branch list was padded out
     to m branches (plans.pad) and the head ran through estimate_illuminant;
     single views the weights as a one-branch network, as run_eval's "none"
@@ -156,7 +155,7 @@ def _frozen_padded_infer(query_stack, additional_stacks, weights, config,
     gain = maps["gain"].value[0, 0] if arch.emit_gain else None
     params = ccc.CCCParams(bias=maps["bias"].value[0, 0],
                            filters=maps["filters"].value[0], gain=gain)
-    ell, heat = ccc.estimate_illuminant(batch[0], params, config)
+    ell, heat = ccc.estimate_illuminant(batch[0], params)
     return ell, params, heat
 
 
@@ -169,17 +168,16 @@ def test_unpadded_inference_matches_padded_path(n, m, emit_gain, data):
     arch = hn.ArchitectureConfig(n=n, m=m, depth=2, base_channels=2,
                                  emit_gain=emit_gain)
     w = mutated_bn(hn.init_weights(arch, rng), seed + 1)
-    cfg = HistogramConfig(n=n)
     images = rng.random((m, 4, n, n))
     query = images[0]
     # additional stacks drawn with repeats, the query among the candidates
     picks = data.draw(st.lists(st.integers(0, m - 1), max_size=m - 1))
     extra = [images[i] for i in picks]
 
-    ell, params, heat = hn.infer_from_stacks(query, extra, w, cfg)
-    refs = [_frozen_padded_infer(query, extra, w, cfg, single=False)]
+    ell, params, heat = hn.infer_from_stacks(query, extra, w)
+    refs = [_frozen_padded_infer(query, extra, w, single=False)]
     if not extra:
-        refs.append(_frozen_padded_infer(query, extra, w, cfg, single=True))
+        refs.append(_frozen_padded_infer(query, extra, w, single=True))
     for want_ell, want_params, want_heat in refs:
         assert np.array_equal(ell, want_ell)
         assert np.array_equal(heat, want_heat)
@@ -200,12 +198,12 @@ def test_stack_input_forms_equivalent():
     img = random_image(rng)
     hist_obj = assemble_feature_stack(img, cfg)          # ChromaHistogram
     chan_first = hist_obj.channel_first()                # (4, n, n)
-    outs = [hn.infer_from_stacks(s, [], w, cfg)[0]
+    outs = [hn.infer_from_stacks(s, [], w)[0]
             for s in (hist_obj, chan_first)]
     assert np.array_equal(outs[0], outs[1])
     # a bare array is read channel-first only: (n, n, 4) is not a stack
     with pytest.raises(ValueError, match="does not fit"):
-        hn.infer_from_stacks(hist_obj.data, [], w, cfg)
+        hn.infer_from_stacks(hist_obj.data, [], w)
 
 
 def test_channel_first_stack_at_n4_is_not_transposed():
@@ -215,15 +213,14 @@ def test_channel_first_stack_at_n4_is_not_transposed():
     rng = np.random.default_rng(14)
     arch = hn.ArchitectureConfig(n=4, m=1, depth=1, base_channels=2)
     w = hn.init_weights(arch, rng)
-    cfg = HistogramConfig(n=4)
-    hist_obj = assemble_feature_stack(random_image(rng), cfg)
-    from_hist = hn.infer_from_stacks(hist_obj, [], w, cfg)
-    from_array = hn.infer_from_stacks(hist_obj.channel_first(), [], w, cfg)
+    hist_obj = assemble_feature_stack(random_image(rng), HistogramConfig(n=4))
+    from_hist = hn.infer_from_stacks(hist_obj, [], w)
+    from_array = hn.infer_from_stacks(hist_obj.channel_first(), [], w)
     for a, b in zip((from_hist[0], from_hist[1].bias, from_hist[2]),
                     (from_array[0], from_array[1].bias, from_array[2])):
         assert np.array_equal(a, b)
     # the heat map is the head on the query as built, not a transpose of it
-    ell, heat = ccc.estimate_illuminant(hist_obj, from_hist[1], cfg)
+    ell, heat = ccc.estimate_illuminant(hist_obj, from_hist[1])
     assert np.array_equal(from_hist[2], heat)
     assert np.array_equal(from_hist[0], ell)
 
@@ -251,9 +248,8 @@ def test_c5_infer_on_images():
     assert params.gain is None
     assert np.isclose(heat.sum(), 1.0)
     # heat map is the CCC evaluation of the emitted parameters on the query
-    cfg = HistogramConfig(n=16)
-    stack = assemble_feature_stack(query, cfg)
-    assert np.allclose(heat, ccc.estimate_illuminant(stack, params, cfg)[1],
+    stack = assemble_feature_stack(query, HistogramConfig(n=16))
+    assert np.allclose(heat, ccc.estimate_illuminant(stack, params)[1],
                        atol=1e-12)
 
 
@@ -282,7 +278,7 @@ def test_c5_infer_drops_empty_additional_images():
     good_stack = assemble_feature_stack(good, HistogramConfig(n=16))
     planes = good_stack.data.copy()
     planes[..., :2] = 0.0
-    want = hn.infer_from_stacks(ChromaHistogram(planes, good_stack.config),
+    want = hn.infer_from_stacks(ChromaHistogram(planes),
                                 [good_stack], w)
     assert np.array_equal(ell, want[0])
     assert np.array_equal(params.bias, want[1].bias)

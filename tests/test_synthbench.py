@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import chromacc.synthbench as synthbench
 from chromacc.autodiff import NumericalError
-from chromacc.histograms import HistogramConfig
+from chromacc.histograms import EmptyHistogramError, HistogramConfig
 from chromacc.hypernet import ArchitectureConfig
 from chromacc.sensor import make_synthetic_camera
 from chromacc.synthbench import (SCENE_SIZE, capture, draw_camera,
@@ -150,12 +151,27 @@ def test_benchmark_builds_where_a_camera_draw_fails():
     assert np.array_equal(bench.profiles["cam0"].c1, profile.c1)
 
 
-def test_benchmark_skips_an_empty_stack():
-    # with the domain cut to [-0.5, 0.5) two of the twelve re-rendered
-    # images keep no pixel inside it
-    bench = make_benchmark(seed=0, n_train_cameras=2, captures_per_camera=4,
-                           train_images=12, eval_images=2,
-                           hist=HistogramConfig(n=8, bound=0.5))
-    assert len(bench.train) == 10
-    for s in bench.train:
-        assert s.stack[0].sum() == pytest.approx(1.0)
+def test_benchmark_skips_an_empty_stack(monkeypatch):
+    # the 3rd and 7th re-rendered images are made to keep no pixel inside
+    # the log-chroma domain: their stacks go, and the others stay as built
+    kw = dict(seed=0, n_train_cameras=2, captures_per_camera=4,
+              train_images=12, eval_images=2, hist=HistogramConfig(n=16),
+              size=(16, 24))
+    full = make_benchmark(**kw)
+    assert len(full.train) == 12
+    real, calls = synthbench.assemble_feature_stack, []
+
+    def emptied(image, config):
+        calls.append(image)
+        if len(calls) in (3, 7):
+            raise EmptyHistogramError("no valid pixels to histogram")
+        return real(image, config)
+
+    monkeypatch.setattr(synthbench, "assemble_feature_stack", emptied)
+    bench = make_benchmark(**kw)
+    assert len(calls) == 12 and len(bench.train) == 10
+    kept = [s for i, s in enumerate(full.train) if i not in (2, 6)]
+    for got, want in zip(bench.train, kept):
+        assert np.array_equal(got.stack, want.stack)
+        assert np.array_equal(got.illuminant, want.illuminant)
+        assert got.camera == want.camera

@@ -9,7 +9,6 @@ import chromacc.hypernet as hn
 import chromacc.plans as plans
 import chromacc.training as tr
 from chromacc.datasets import DataError
-from chromacc.histograms import HistogramConfig
 
 
 def tiny_arch(**kw):
@@ -360,7 +359,7 @@ def test_zero_epochs_returns_initial_weights():
     result = tr.train(samples, arch, cfg)
     ref = hn.init_weights(arch, np.random.default_rng(33))
     for k in ref.params:
-        assert np.array_equal(result.weights.params[k], ref.params[k])
+        assert np.array_equal(result.best_weights.params[k], ref.params[k])
     assert result.metrics == []
     assert not result.diverged
 
@@ -374,32 +373,19 @@ def test_train_smoke_and_metrics():
     assert np.all(np.isfinite(vals))
     best_so_far = np.minimum.accumulate(vals)
     assert np.all(np.diff(best_so_far) <= 0)
-    for v in result.weights.params.values():
+    for v in result.best_weights.params.values():
         assert np.all(np.isfinite(v))
     # best snapshot reproduces the lowest recorded validation error
     assert min(vals) <= vals[0]
-
-
-def test_validation_scores_on_the_training_histogram_grid(monkeypatch):
-    samples, arch, cfg = train_fixture(epochs=1)
-    grid = HistogramConfig(n=8, bound=1.5)
-    real, seen = hn.infer_from_stacks, []
-
-    def spy(query, extra, weights, config=None):
-        seen.append(config)
-        return real(query, extra, weights, config)
-
-    monkeypatch.setattr(hn, "infer_from_stacks", spy)
-    tr.train(samples, arch, cfg, config=grid)
-    assert seen and all(c is grid for c in seen)
 
 
 def test_train_bit_reproducible():
     samples, arch, cfg = train_fixture()
     r1 = tr.train(samples, arch, cfg)
     r2 = tr.train(samples, arch, cfg)
-    for k in r1.weights.params:
-        assert np.array_equal(r1.weights.params[k], r2.weights.params[k])
+    for k in r1.best_weights.params:
+        assert np.array_equal(r1.best_weights.params[k],
+                              r2.best_weights.params[k])
     assert r1.metrics == r2.metrics
 
 
@@ -410,8 +396,35 @@ def test_train_divergence_returns_last_good():
     result = tr.train(samples + [bad], arch, cfg)
     assert result.diverged
     assert "non-finite" in result.message
-    for v in result.weights.params.values():
+    for v in result.best_weights.params.values():
         assert np.all(np.isfinite(v))
+
+
+def test_divergence_without_validation_keeps_the_last_epoch(monkeypatch):
+    # 12 stacks, nothing held out, 3 steps per epoch; gradients turn NaN at
+    # step 10, so the run diverges after 3 whole epochs and must keep their
+    # weights, not the initial ones
+    samples, arch, _ = train_fixture()
+    cfg = tr.TrainConfig(epochs=5, batch_sizes=(4,), seed=21,
+                         val_fraction=0.0)
+    real, before = tr.adam_step, []
+
+    def poisoned(weights, grads, state, lr, cfg):
+        before.append(weights.copy())
+        if len(before) >= 10:
+            grads = {k: np.full_like(g, np.nan) for k, g in grads.items()}
+        real(weights, grads, state, lr, cfg)
+
+    monkeypatch.setattr(tr, "adam_step", poisoned)
+    result = tr.train(samples, arch, cfg)
+    assert result.diverged and len(result.metrics) == 3
+    epoch3 = before[9]   # the weights the 10th step started from
+    init = before[0]
+    for k in init.params:
+        assert np.array_equal(result.best_weights.params[k],
+                              epoch3.params[k])
+    assert any(not np.array_equal(epoch3.params[k], init.params[k])
+               for k in init.params)
 
 
 # ----- config text round trip -----
