@@ -11,8 +11,8 @@ import numpy as np
 
 from chromacc import CCCParams, HistogramConfig, RawImage
 from chromacc.ccc import convolve2d, estimate_illuminant
+from chromacc.evaluation import angular_error
 from chromacc.histograms import assemble_feature_stack
-from chromacc.training import angular_error
 
 rng = np.random.default_rng(7)
 cfg = HistogramConfig(n=64)

@@ -14,9 +14,10 @@ from . import autodiff
 from .autodiff import NumericalError, grad_check
 from .ccc import CCCParams, convolve2d, estimate_illuminant, uv_to_rgb
 from .datasets import (WORKING_RES, DataError, DatasetManifest, LabeledSample,
-                       leave_one_camera_out, load_dataset, write_manifest)
-from .evaluation import (EvalReport, EvalSample, EvalStats, chroma_variance,
-                         eval_stats, format_report, gray_world, run_eval)
+                       load_dataset, write_manifest)
+from .evaluation import (EvalReport, EvalSample, EvalStats, angular_error,
+                         chroma_variance, eval_stats, format_report,
+                         gray_world, run_eval)
 from .floatmap import read_pfm, write_pfm
 from .histograms import (ChromaHistogram, EmptyHistogramError, HistogramConfig,
                          RawImage, assemble_feature_stack, bilinear_resize,
@@ -28,7 +29,6 @@ from .sensor import (AugmentTarget, CameraProfile, CaptureMeta, CMFTable,
                      augment_image, estimate_cct, fit_planckian_cubic,
                      make_synthetic_camera, planck_spd, temp_to_xyz)
 from .synthbench import Benchmark, BenchmarkResult, make_benchmark, run_benchmark
-from .training import (TrainConfig, TrainingSample, TrainResult,
-                       angular_error, train)
+from .training import TrainConfig, TrainingSample, TrainResult, train
 
 __version__ = "0.1.0"

@@ -23,8 +23,7 @@ from .sensor import CameraProfile, CaptureMeta
 
 __all__ = [
     "DataError", "WORKING_RES", "LabeledSample", "read_raw_image",
-    "DatasetManifest",
-    "load_dataset", "write_manifest", "leave_one_camera_out",
+    "DatasetManifest", "load_dataset", "write_manifest",
 ]
 
 WORKING_RES = (256, 384)  # rows, columns
@@ -227,18 +226,3 @@ def write_manifest(manifest: DatasetManifest, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def leave_one_camera_out(manifest: DatasetManifest, test_camera: str):
-    """Split into (train samples, test samples): the held-out camera's images
-    all test; training drops that camera and any image sharing a scene id
-    with a test image."""
-    cameras = manifest.cameras()
-    if len(cameras) < 2:
-        raise ValueError("leave-one-camera-out needs at least 2 cameras")
-    if test_camera not in cameras:
-        raise ValueError(f"unknown camera {test_camera!r} (have {cameras})")
-    test = [s for s in manifest.samples if s.camera == test_camera]
-    test_scenes = {s.scene for s in test if s.scene is not None}
-    train = [s for s in manifest.samples
-             if s.camera != test_camera and s.scene not in test_scenes]
-    return train, test

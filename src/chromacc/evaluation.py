@@ -1,10 +1,11 @@
-"""Angular-error statistics, baselines, and repeated evaluation runs.
+"""Angular error, the plan scorer, baselines, and repeated evaluation runs.
 
 An evaluation run scores an estimator on a set of labeled images; because
 the network conditions on additional same-camera images, the choice of those
 images is a policy ("random", "vivid", "dull", "cross-camera", or "none" for
 single-image operation) and runs are repeated with fresh draws.  A report
 aggregates per-run summary statistics and their across-run spread.
+score_plan, the one scorer of a plan of draws, serves validation too.
 """
 
 from __future__ import annotations
@@ -18,17 +19,43 @@ from . import plans
 from .histograms import (HistogramConfig, RawImage, assemble_feature_stack,
                          pixel_uv, unit_illuminant)
 from .hypernet import NetworkWeights, _check_grid, infer_from_stacks
-from .training import angular_error
 
 __all__ = [
-    "POLICIES", "EvalStats", "EvalReport", "EvalSample", "eval_stats",
-    "gray_world", "chroma_variance", "run_eval", "format_report",
+    "POLICIES", "EvalStats", "EvalReport", "EvalSample", "angular_error",
+    "score_plan", "eval_stats", "gray_world", "chroma_variance", "run_eval",
+    "format_report",
 ]
 
 POLICIES = ("random", "vivid", "dull", "cross-camera", "none")
 
 # pool size for the colorfulness-ranked policies
 VIVID_POOL = 20
+
+
+def angular_error(a, b) -> float:
+    """Angle between two color vectors in degrees; scale-invariant."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("angular error of a zero vector is undefined")
+    c = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
+    return float(np.degrees(np.arccos(c)))
+
+
+def score_plan(plan, stacks, illuminants, weights: NetworkWeights) -> list:
+    """Angular error of each query of a plan, in plan order.
+
+    plan holds (query id, additional ids) pairs that index the channel-first
+    stacks and their true illuminants; each query is one infer_from_stacks
+    call on the query and its additional stacks, as many as it names.
+    """
+    errors = []
+    for q, extra in plan:
+        ell, _, _ = infer_from_stacks(stacks[q], [stacks[i] for i in extra],
+                                      weights)
+        errors.append(angular_error(ell, illuminants[q]))
+    return errors
 
 
 @dataclass(frozen=True)
@@ -128,7 +155,9 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     """Score an estimator on labeled samples under an additional-image
     policy, repeated with fresh draws.
 
-    estimator defaults to the network (weights + histograms); a substitute
+    Each repeat draws its whole plan first, one plans.draw per sample in
+    sample order, then scores it.  estimator defaults to the network
+    (weights + histograms, through score_plan); a substitute
     takes (query RawImage, list of the distinct additional RawImages, not
     padded to m-1, as c5_infer takes them) and returns an illuminant
     estimate.  "none" draws no additional image: the network runs on the
@@ -148,25 +177,23 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     pools = plans.eval_pools([s.camera for s in samples], policy, scores,
                              VIVID_POOL)
 
-    stacks = None
     if estimator is None:
         _check_grid(config, weights.arch)
         grid = HistogramConfig(n=weights.arch.n)
         stacks = [assemble_feature_stack(s.image, grid).channel_first()
                   for s in samples]
+        truth = [s.illuminant for s in samples]
 
     runs = []
     for _ in range(repeats):
-        errors = []
-        for i, sample in enumerate(samples):
-            adds = plans.draw(pools[i], weights.arch.m - 1, rng)
-            if estimator is None:
-                ell, _, _ = infer_from_stacks(
-                    stacks[i], [stacks[j] for j in adds], weights)
-            else:
-                ell = estimator(sample.image,
-                                [samples[j].image for j in adds])
-            errors.append(angular_error(ell, sample.illuminant))
+        plan = [(i, plans.draw(pool, weights.arch.m - 1, rng))
+                for i, pool in enumerate(pools)]
+        if estimator is None:
+            errors = score_plan(plan, stacks, truth, weights)
+        else:
+            errors = [angular_error(
+                estimator(samples[q].image, [samples[j].image for j in extra]),
+                samples[q].illuminant) for q, extra in plan]
         runs.append(eval_stats(errors))
     return EvalReport.from_runs(runs)
 

@@ -371,10 +371,10 @@ class AugmentTarget:
 
 
 def random_crop(pixels: np.ndarray, rng: np.random.Generator,
-                mask: np.ndarray = None):
+                mask: np.ndarray):
     """Crop a uniform 80-100% of the area with the original aspect ratio,
     then resize back to the input size.  Returns (pixels, mask) with the
-    mask resampled by nearest threshold (or None when absent)."""
+    mask resampled by nearest threshold."""
     h, w = pixels.shape[:2]
     scale = np.sqrt(rng.uniform(0.8, 1.0))
     ch = max(1, round(h * scale))
@@ -382,12 +382,9 @@ def random_crop(pixels: np.ndarray, rng: np.random.Generator,
     top = int(rng.integers(0, h - ch + 1))
     left = int(rng.integers(0, w - cw + 1))
     out = bilinear_resize(pixels[top:top + ch, left:left + cw], h, w)
-    out_mask = None
-    if mask is not None:
-        frac = bilinear_resize(mask[top:top + ch, left:left + cw]
-                               .astype(np.float64), h, w)
-        out_mask = frac >= 0.5
-    return out, out_mask
+    frac = bilinear_resize(mask[top:top + ch, left:left + cw]
+                           .astype(np.float64), h, w)
+    return out, frac >= 0.5
 
 
 def augment_image(image: RawImage, meta: CaptureMeta,

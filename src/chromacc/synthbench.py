@@ -18,7 +18,8 @@ import numpy as np
 from .autodiff import NumericalError
 from .evaluation import EvalReport, EvalSample, gray_world, run_eval
 from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
-                         assemble_feature_stack, unit_illuminant)
+                         assemble_feature_stack, build_histogram,
+                         unit_illuminant)
 from .hypernet import ArchitectureConfig, NetworkWeights
 from .sensor import (AugmentTarget, CMFTable, augment_image, estimate_cct,
                      make_synthetic_camera, stratified_selection)
@@ -97,22 +98,24 @@ class Benchmark:
     profiles: dict                   # camera id -> CameraProfile
     held_out: str
     hist: HistogramConfig
-    m: int
+    dropped_eval: int                # held-out captures with no stack
 
 
 def make_benchmark(seed: int = 0, n_train_cameras: int = 3,
                    captures_per_camera: int = 60, train_images: int = 500,
-                   eval_images: int = 200, m: int = 9,
-                   hist: HistogramConfig = None, tint: float = 0.15,
-                   perturbation: float = 0.04, size=SCENE_SIZE) -> Benchmark:
+                   eval_images: int = 200, hist: HistogramConfig = None,
+                   tint: float = 0.15, perturbation: float = 0.04,
+                   size=SCENE_SIZE) -> Benchmark:
     """Assemble the cross-camera benchmark.
 
     n_train_cameras cameras contribute native captures that are re-rendered
     (temperature-stratified, with sampled target illuminants and crops) into
     each other's spaces; one extra camera supplies eval_images untouched
-    captures.  Cameras come from draw_camera.  A re-rendered image whose
-    pixel histogram is empty (every pixel left the log-chroma domain) loses
-    its stack, so train holds at most train_images stacks.
+    captures.  Cameras come from draw_camera.  An image whose pixel
+    histogram is empty (every pixel left the log-chroma domain) is dropped:
+    a re-rendered one loses its stack, so train holds at most train_images
+    stacks, and a held-out one is left out of eval_samples and counted in
+    dropped_eval.
     """
     if n_train_cameras < 2:
         raise ValueError("cross-camera training needs at least 2 cameras")
@@ -154,10 +157,15 @@ def make_benchmark(seed: int = 0, n_train_cameras: int = 3,
             continue
         train_set.append(TrainingSample(stack, ell, camera=tgt))
 
-    evals = [EvalSample(img, meta.illuminant, camera=held_name)
-             for img, meta in native_captures(held_metas, rng, eval_images,
-                                              size)]
-    return Benchmark(train_set, evals, profiles, held_name, hist, m)
+    evals = []
+    for img, meta in native_captures(held_metas, rng, eval_images, size):
+        try:
+            build_histogram(img, hist)
+        except EmptyHistogramError:
+            continue
+        evals.append(EvalSample(img, meta.illuminant, camera=held_name))
+    return Benchmark(train_set, evals, profiles, held_name, hist,
+                     eval_images - len(evals))
 
 
 @dataclass
@@ -184,8 +192,7 @@ def run_benchmark(seed: int = 0, bench: Benchmark = None,
     if bench is None:
         bench = make_benchmark(seed)
     if arch is None:
-        arch = ArchitectureConfig(n=bench.hist.n, m=bench.m, depth=3,
-                                  base_channels=8)
+        arch = ArchitectureConfig(n=bench.hist.n, depth=3, base_channels=8)
     if cfg is None:
         # the smoothness penalty sums over map cells, so its useful weight
         # shrinks with map area; at n=32 the full-size defaults drown the

@@ -21,6 +21,7 @@ from . import autodiff as ad
 from . import hypernet as hn
 from . import plans
 from .autodiff import _snap32
+from .evaluation import angular_error, score_plan
 from .floatmap import DataError
 from .histograms import HistogramConfig, unit_illuminant
 
@@ -86,17 +87,6 @@ class TrainingSample:
                            np.asarray(self.stack, dtype=np.float64))
         object.__setattr__(self, "illuminant",
                            unit_illuminant(self.illuminant))
-
-
-def angular_error(a, b) -> float:
-    """Angle between two color vectors in degrees; scale-invariant."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angular error of a zero vector is undefined")
-    c = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.degrees(np.arccos(c)))
 
 
 def lr_at(step: int, total_steps: int, lr_initial: float) -> float:
@@ -253,17 +243,6 @@ def validation_split(samples, fraction: float, rng: np.random.Generator):
     return sorted(train_ids), sorted(val_ids)
 
 
-def _validation_error(samples, plan, weights) -> float:
-    if not plan:
-        return float("nan")
-    errs = []
-    for q, extra in plan:
-        ell, _, _ = hn.infer_from_stacks(
-            samples[q].stack, [samples[i].stack for i in extra], weights)
-        errs.append(angular_error(ell, samples[q].illuminant))
-    return float(np.mean(errs))
-
-
 def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
           config: HistogramConfig = None) -> TrainResult:
     """Optimize a fresh network on labeled feature stacks.
@@ -292,6 +271,8 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
     val_plan = plans.same_camera([(q, cameras[q]) for q in val_ids],
                                  plans.camera_groups(cameras, train_ids),
                                  arch.m - 1, rng)
+    all_stacks = [s.stack for s in samples]
+    truth = [s.illuminant for s in samples]
 
     total_steps = sum(ceil(len(train_set) / batch_size_at(e, cfg))
                       for e in range(1, cfg.epochs + 1))
@@ -321,7 +302,9 @@ def train(samples, arch: hn.ArchitectureConfig, cfg: TrainConfig,
         except NumericalError as exc:
             return TrainResult(best, metrics, diverged=True,
                                message=str(exc))
-        val_err = _validation_error(samples, val_plan, weights)
+        val_err = (float(np.mean(score_plan(val_plan, all_stacks, truth,
+                                            weights)))
+                   if val_plan else float("nan"))
         metrics.append(EpochMetrics(epoch, batch_size_at(epoch, cfg), lr,
                                     float(np.mean(losses)),
                                     float(np.mean(errs)), val_err))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from chromacc.datasets import (DataError, DatasetManifest, LabeledSample,
-                               WORKING_RES, leave_one_camera_out,
-                               load_dataset, write_manifest)
+                               WORKING_RES, load_dataset, write_manifest)
 from chromacc.floatmap import write_pfm
 from chromacc.sensor import CameraProfile, CaptureMeta
 
@@ -233,35 +232,3 @@ def test_meta_round_trips_through_manifest(tmp_path):
         assert getattr(got, key) == getattr(want, key)
     assert got.camera == "cam_a"
     assert np.allclose(got.illuminant, want.illuminant)
-
-
-def test_leave_one_camera_out_excludes_shared_scenes(tmp_path):
-    manifest = _manifest_fixture(tmp_path, n_per_camera=2,
-                                 cameras=("cam_a", "cam_b", "cam_c"))
-    # cam_c gets one extra sample without a scene id
-    extra = tmp_path / "cam_c_x.pfm"
-    _write_image(extra, seed=99)
-    manifest.samples.append(LabeledSample(
-        image_path=str(extra), camera="cam_c",
-        illuminant=[0.5, 0.7071067811865476, 0.5], scene=None))
-    train, test = leave_one_camera_out(manifest, "cam_a")
-    assert all(s.camera == "cam_a" for s in test)
-    assert len(test) == 2
-    # every other camera shares scene_0/scene_1, so only the sceneless
-    # sample survives into training
-    assert [s.scene for s in train] == [None]
-    assert all(s.camera != "cam_a" for s in train)
-
-    train, test = leave_one_camera_out(manifest, "cam_c")
-    assert len(test) == 3
-    assert all(s.camera != "cam_c" for s in train)
-    assert len(train) == 0  # scene_0 and scene_1 both appear in test
-
-
-def test_leave_one_camera_out_validation(tmp_path):
-    manifest = _manifest_fixture(tmp_path, cameras=("solo",))
-    with pytest.raises(ValueError, match="at least 2"):
-        leave_one_camera_out(manifest, "solo")
-    manifest = _manifest_fixture(tmp_path)
-    with pytest.raises(ValueError, match="unknown camera"):
-        leave_one_camera_out(manifest, "cam_z")

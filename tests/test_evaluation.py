@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacc import evaluation
+from chromacc import evaluation, plans
 from chromacc.evaluation import (EvalReport, EvalSample, EvalStats,
-                                 chroma_variance, eval_stats, format_report,
-                                 gray_world, run_eval)
+                                 angular_error, chroma_variance, eval_stats,
+                                 format_report, gray_world, run_eval)
 from chromacc.histograms import (HistogramConfig, RawImage,
                                  assemble_feature_stack)
 from chromacc.hypernet import ArchitectureConfig, infer_from_stacks, init_weights
-from chromacc.training import angular_error
 
 
 def test_eval_stats_hand_oracle():
@@ -228,6 +227,66 @@ def test_network_eval_deterministic_and_single_image_mode():
                                       [], weights)
         errors.append(angular_error(ell, s.illuminant))
     assert report.runs[0] == eval_stats(errors)
+
+
+def test_run_eval_calls_infer_once_per_query(monkeypatch):
+    # the benchmark times each query by hooking evaluation.infer_from_stacks
+    samples = _sample_set()
+    real, calls = evaluation.infer_from_stacks, []
+
+    def counted(query, extra, weights):
+        calls.append(len(extra))
+        return real(query, extra, weights)
+
+    monkeypatch.setattr(evaluation, "infer_from_stacks", counted)
+    run_eval(_tiny_weights(), samples, policy="random", repeats=3, rng=0)
+    assert calls == [2] * (3 * len(samples))   # m - 1 additional each
+    calls.clear()
+    run_eval(_tiny_weights(), samples, policy="none", repeats=2, rng=0)
+    assert calls == [0] * (2 * len(samples))
+
+
+def _interleaved_runs(weights, samples, repeats, rng):
+    """run_eval's network path as it was when each query's draw and
+    inference alternated in one loop, for the random policy."""
+    rng = np.random.default_rng(rng)
+    pools = plans.eval_pools([s.camera for s in samples], "random")
+    grid = HistogramConfig(n=weights.arch.n)
+    stacks = [assemble_feature_stack(s.image, grid).channel_first()
+              for s in samples]
+    runs = []
+    for _ in range(repeats):
+        errors = []
+        for i, sample in enumerate(samples):
+            adds = plans.draw(pools[i], weights.arch.m - 1, rng)
+            ell, _, _ = infer_from_stacks(stacks[i],
+                                          [stacks[j] for j in adds], weights)
+            errors.append(angular_error(ell, sample.illuminant))
+        runs.append(eval_stats(errors))
+    return runs
+
+
+def test_run_eval_matches_the_interleaved_loop():
+    samples = _sample_set(cameras=2, per_camera=5)
+    weights = _tiny_weights(m=3)
+    report = run_eval(weights, samples, policy="random", repeats=3, rng=4)
+    assert list(report.runs) == _interleaved_runs(weights, samples, 3, 4)
+
+
+def test_score_plan_in_plan_order():
+    samples = _sample_set(cameras=1, per_camera=4)
+    weights = _tiny_weights(m=3)
+    stacks = [assemble_feature_stack(s.image, HistogramConfig(n=16))
+              .channel_first() for s in samples]
+    truth = [s.illuminant for s in samples]
+    plan = [(2, [0, 1]), (0, []), (2, [0, 1]), (3, [1])]
+    errors = evaluation.score_plan(plan, stacks, truth, weights)
+    want = [angular_error(infer_from_stacks(stacks[q],
+                                            [stacks[i] for i in extra],
+                                            weights)[0], truth[q])
+            for q, extra in plan]
+    assert errors == want and errors[0] == errors[2]
+    assert evaluation.score_plan([], stacks, truth, weights) == []
 
 
 def test_run_eval_validation():

@@ -400,7 +400,8 @@ def test_augment_general_properties(cmf):
     out2, j2 = sn.augment_image(src, src_meta, src_prof, target, cmf,
                                 np.random.default_rng(11))
     rng3 = np.random.default_rng(11)
-    sn.random_crop(rng3.random((4, 4, 3)), rng3)  # desync on purpose
+    sn.random_crop(rng3.random((4, 4, 3)), rng3,
+                   np.ones((4, 4), dtype=bool))  # desync on purpose
     assert not np.array_equal(
         sn.augment_image(src, src_meta, src_prof, target, cmf, rng3)[1], j)
 
@@ -413,8 +414,9 @@ def test_random_crop_mask_and_shape():
     out, m = sn.random_crop(px, rng, mask=mask)
     assert out.shape == (20, 30, 3)
     assert m.shape == (20, 30) and m.dtype == bool
-    out2, m2 = sn.random_crop(px, rng, mask=None)
-    assert m2 is None
+    assert m.any() and not m.all()
+    _, full = sn.random_crop(px, rng, mask=np.ones((20, 30), dtype=bool))
+    assert full.all()
 
 
 def test_temperature_groups_and_stratified_selection():

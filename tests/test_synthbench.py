@@ -3,7 +3,8 @@ import pytest
 
 import chromacc.synthbench as synthbench
 from chromacc.autodiff import NumericalError
-from chromacc.histograms import EmptyHistogramError, HistogramConfig
+from chromacc.histograms import (EmptyHistogramError, HistogramConfig,
+                                 assemble_feature_stack)
 from chromacc.hypernet import ArchitectureConfig
 from chromacc.sensor import make_synthetic_camera
 from chromacc.synthbench import (SCENE_SIZE, capture, draw_camera,
@@ -62,14 +63,14 @@ def tiny_camera():
 @pytest.fixture(scope="module")
 def tiny_bench():
     return make_benchmark(seed=3, n_train_cameras=2, captures_per_camera=6,
-                          train_images=12, eval_images=5, m=3,
+                          train_images=12, eval_images=5,
                           hist=HistogramConfig(n=16), size=(16, 24))
 
 
 def test_benchmark_shape_and_attribution(tiny_bench):
     bench = tiny_bench
     assert len(bench.train) == 12
-    assert len(bench.eval_samples) == 5
+    assert len(bench.eval_samples) == 5 and bench.dropped_eval == 0
     assert bench.held_out == "cam2"
     assert sorted(bench.profiles) == ["cam0", "cam1", "cam2"]
     cams = [s.camera for s in bench.train]
@@ -90,7 +91,7 @@ def test_benchmark_never_augments_into_held_out(tiny_bench):
 
 def test_benchmark_deterministic(tiny_bench):
     again = make_benchmark(seed=3, n_train_cameras=2, captures_per_camera=6,
-                           train_images=12, eval_images=5, m=3,
+                           train_images=12, eval_images=5,
                            hist=HistogramConfig(n=16), size=(16, 24))
     assert np.array_equal(tiny_bench.train[0].stack, again.train[0].stack)
     assert np.array_equal(tiny_bench.train[-1].stack, again.train[-1].stack)
@@ -149,6 +150,16 @@ def test_benchmark_builds_where_a_camera_draw_fails():
     profile, _ = draw_camera(np.random.default_rng(18), tint=0.15,
                              perturbation=0.04, name="cam0")
     assert np.array_equal(bench.profiles["cam0"].c1, profile.c1)
+
+
+def test_benchmark_drops_held_out_images_without_a_stack():
+    # seed 3 draws four held-out captures (ids 1, 9, 54 and 169) with no
+    # pixel inside the log-chroma domain; run_eval would raise on them
+    bench = make_benchmark(seed=3)
+    assert (len(bench.train), len(bench.eval_samples)) == (495, 196)
+    assert bench.dropped_eval == 4
+    for s in bench.eval_samples:
+        assemble_feature_stack(s.image, bench.hist)
 
 
 def test_benchmark_skips_an_empty_stack(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chromacc.autodiff as ad
+import chromacc.evaluation as evaluation
 import chromacc.hypernet as hn
 import chromacc.plans as plans
 import chromacc.training as tr
@@ -387,6 +388,48 @@ def test_train_bit_reproducible():
         assert np.array_equal(r1.best_weights.params[k],
                               r2.best_weights.params[k])
     assert r1.metrics == r2.metrics
+
+
+def test_validation_calls_infer_once_per_query(monkeypatch):
+    # two cameras of six at val_fraction 0.2 hold out one image each; every
+    # epoch end scores both through evaluation's scorer
+    samples, arch, cfg = train_fixture()
+    real, calls = evaluation.infer_from_stacks, []
+
+    def counted(query, extra, weights):
+        calls.append(len(extra))
+        return real(query, extra, weights)
+
+    monkeypatch.setattr(evaluation, "infer_from_stacks", counted)
+    tr.train(samples, arch, cfg)
+    assert calls == [arch.m - 1] * (cfg.epochs * 2)
+
+
+def _per_query_validation_error(samples, plan, weights):
+    """The validation error as training computed it in its own loop, one
+    infer_from_stacks per query, before it scored through evaluation."""
+    if not plan:
+        return float("nan")
+    errs = []
+    for q, extra in plan:
+        ell, _, _ = hn.infer_from_stacks(
+            samples[q].stack, [samples[i].stack for i in extra], weights)
+        errs.append(tr.angular_error(ell, samples[q].illuminant))
+    return float(np.mean(errs))
+
+
+def test_validation_error_matches_the_per_query_loop(monkeypatch):
+    samples, arch, cfg = train_fixture()
+    real, want = tr.score_plan, []
+
+    def checked(plan, stacks, truth, weights):
+        want.append(_per_query_validation_error(samples, plan, weights))
+        return real(plan, stacks, truth, weights)
+
+    monkeypatch.setattr(tr, "score_plan", checked)
+    result = tr.train(samples, arch, cfg)
+    assert len(want) == cfg.epochs
+    assert [m.val_err_deg for m in result.metrics] == want
 
 
 def test_train_divergence_returns_last_good():
