@@ -7,6 +7,11 @@ sliding_window_view, and branch_max, take_rows and concat_channels doing
 their VJP set-up on every call.  Values and VJPs must match them bit for
 bit (signed zeros and NaN payloads included), for inputs that do and do not
 need a gradient, on ties, at B=1 and on non-contiguous views.
+
+Frozen too are the backward walk that kept every node's gradient and
+closures until it ended, and conv3x3 keeping its padded input for the
+weight gradient: a training graph must get the same parameter gradients
+from the walk that releases each node as it goes.
 """
 
 import numpy as np
@@ -16,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from chromacc import autodiff as ad
 from chromacc import hypernet as hn
+from chromacc import training as tr
 
 # ----- frozen reference ops ---------------------------------------------------
 
@@ -116,6 +122,59 @@ def frozen_patches(xp):
         win = np.lib.stride_tricks.sliding_window_view(
             xp[lo:hi], (3, 3), axis=(2, 3))
         yield lo, hi, win.transpose(1, 4, 5, 0, 2, 3).reshape(cin * 9, -1)
+
+
+def frozen_leaky_relu_node(a):
+    value, (vjp,) = frozen_leaky_relu(a)
+    return ad.Node(value, [(a, vjp)])
+
+
+def frozen_conv3x3(x, w, pad=1):
+    xv, wv = x.value, w.value
+    xp = ad._pad(xv, pad)
+    cin = xp.shape[1]
+    value = ad._corr(xp, wv)
+
+    def vjp_x(g):
+        flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return ad._corr(ad._pad(g, 2 - pad), flipped)
+
+    def vjp_w(g):
+        cout = wv.shape[0]
+        gw = np.zeros((cout, cin * 9))
+        for lo, hi, cols in ad._patches(xp):
+            gw += g[lo:hi].transpose(1, 0, 2, 3).reshape(cout, -1) @ cols.T
+        return gw.reshape(wv.shape)
+
+    return ad.Node(value, [(x, vjp_x), (w, vjp_w)])
+
+
+def frozen_backward(root):
+    topo, state, stack = [], {}, [root]
+    while stack:
+        node = stack[-1]
+        s = state.get(id(node))
+        if s is None:
+            state[id(node)] = 0
+            for parent, _ in node.parents:
+                if parent.needs_grad and id(parent) not in state:
+                    stack.append(parent)
+        elif s == 0:
+            state[id(node)] = 1
+            topo.append(node)
+            stack.pop()
+        else:
+            stack.pop()
+    root.grad = np.ones_like(root.value)
+    for node in reversed(topo):
+        g = node.grad
+        if g is None:
+            continue
+        for parent, vjp in node.parents:
+            if parent.needs_grad:
+                contrib = vjp(g)
+                parent.grad = contrib if parent.grad is None \
+                    else parent.grad + contrib
 
 
 # ----- helpers ------------------------------------------------------------------
@@ -298,3 +357,46 @@ def test_forward_maps_on_const_leaves_matches_param_leaves(
     for key, state in on_params.bn.items():  # training's statistics too
         assert_bits(on_consts.bn[key].mean, state.mean)
         assert_bits(on_consts.bn[key].var, state.var)
+
+
+# ----- the backward walk ----------------------------------------------------------
+
+def interior_nodes(root):
+    """Every node upstream of root that has parents, root included."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for parent, _ in todo.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return [nd for nd in seen.values() if nd.parents]
+
+
+def test_backward_releases_the_graph_with_the_frozen_gradients(monkeypatch):
+    rng = np.random.default_rng(7)
+    arch = hn.ArchitectureConfig(n=16, m=3, depth=2, base_channels=2,
+                                 emit_gain=True)
+    weights = hn.init_weights(arch, rng)
+    stacks = rng.random((3, 3, 4, 16, 16))
+    stacks[:, 2] = stacks[:, 1]  # a repeated branch image
+    targets = rng.uniform(0.2, 1.0, (3, 3))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    cfg = tr.TrainConfig(lambda_f=0.1, lambda_b=0.02, lambda_g=0.02)
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "conv3x3", frozen_conv3x3)
+        mp.setattr(ad, "leaky_relu", frozen_leaky_relu_node)
+        ref, ref_nodes, _ = tr.build_loss(stacks, targets, weights.copy(), cfg)
+    frozen_backward(ref)
+    loss, pnodes, _ = tr.build_loss(stacks, targets, weights.copy(), cfg)
+    assert_bits(loss.value, ref.value)
+    interior = interior_nodes(loss)
+    ad.backward(loss)
+    assert pnodes.keys() == ref_nodes.keys()
+    for name, leaf in pnodes.items():
+        assert leaf.grad is not None, name
+        assert_bits(leaf.grad, ref_nodes[name].grad)
+    assert all(nd.grad is None and nd.parents == () for nd in interior)
+    kept = {name: leaf.grad.copy() for name, leaf in pnodes.items()}
+    ad.backward(loss)  # the graph is spent: a second walk adds nothing
+    for name, leaf in pnodes.items():
+        assert_bits(leaf.grad, kept[name])

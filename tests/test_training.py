@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,29 @@ def test_single_sample_step_decreases_loss():
     after, _, _ = tr.build_loss(stacks, targets, w, cfg, training=True)
     assert float(after.value) < before
 
+
+def test_training_step_memory_stays_bounded():
+    # one step of the benchmark's network at B=16: backward frees each
+    # node's gradient and closures once its VJPs have run, where keeping
+    # them all to the end of the walk peaked at 119 MB against 67 MB
+    rng = np.random.default_rng(19)
+    arch = hn.ArchitectureConfig(n=32, m=9, depth=3, base_channels=8)
+    w = hn.init_weights(arch, rng)
+    # about a third of a batch's branch rows are distinct images, as in
+    # the training benchmark's batches
+    pool = rng.random((48, 4, 32, 32))
+    stacks = pool[rng.integers(0, len(pool), (16, arch.m))]
+    targets = rng.uniform(0.2, 1.0, (16, 3))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    cfg = tr.TrainConfig(lambda_f=1.5e-4, lambda_b=2e-5, lambda_g=2e-5)
+    tracemalloc.start()
+    try:
+        loss, _, _ = tr.build_loss(stacks, targets, w, cfg)
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6, f"traced peak {peak / 1e6:.1f} MB"
 
 # ----- validation split and full runs -----
 
