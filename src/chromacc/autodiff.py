@@ -17,6 +17,7 @@ loss require; this is not a general-purpose autodiff.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,11 +249,17 @@ def leaky_relu(a: Node) -> Node:
 
 # ----- convolution ------------------------------------------------------------
 
-# Upper bound on one chunk's patch matrix.  Building the patch matrix of a
-# whole training batch at once is no faster and raises peak memory by a
-# third.  A chunk is not cache-sized (8 MB against a 4 MB L2); 1 MB chunks
-# moved training and inference times by only a few percent.
-_COLS_BYTES = 8 << 20
+# Upper bound on one chunk's patch matrix.  A matrix is written once, read
+# once by one GEMM and dropped, so a chunk that stays in one core's 2 MB L2
+# need never go out to memory.  Against 8 MB chunks, on a 2-CPU Xeon VM,
+# training ran 21% faster and peaked 14 MB lower; B=1 eval, whose level-1
+# conv splits into up to three chunks, read 4-10% slower at two seeds,
+# inside its run-to-run spread.  2 MB chunks ran as fast as 1 MB and peaked 4.6 MB
+# higher in training.  A whole batch's matrix at once is no faster and
+# raises peak memory by a third.
+_COLS_BYTES = 1 << 20
+
+_cols = threading.local()   # each thread's reused patch-matrix buffer
 
 
 def _corr(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -274,6 +281,13 @@ def _patches(xp: np.ndarray):
     w.reshape(Cout, Cin*9), and within _COLS_BYTES unless one sample alone
     exceeds it.
 
+    A chunk within _COLS_BYTES is copied into the calling thread's buffer,
+    which is kept across chunks, convs and training steps, so no fresh
+    memory is faulted in for it: cols is valid only until the next chunk is
+    drawn.  The buffer grows to the largest chunk asked for and never past
+    _COLS_BYTES; a larger sample gets an array of its own, so no call
+    leaves a large buffer behind.
+
     Each chunk's (Cin, 3, 3, Bc, Ho, Wo) window view is made directly from
     xp's strides: sliding_window_view costs ~20 us a call, an ndarray view
     ~2 us, and a B=1 forward pass makes one per conv.
@@ -286,7 +300,15 @@ def _patches(xp: np.ndarray):
         hi = min(lo + step, b)
         win = np.ndarray((cin, 3, 3, hi - lo, h - 2, wd - 2), np.float64, xp,
                          lo * sb, (sc, sh, sw, sb, sh, sw))
-        yield lo, hi, win.reshape(cin * 9, -1)
+        if win.nbytes > _COLS_BYTES:
+            yield lo, hi, win.reshape(cin * 9, -1)
+            continue
+        buf = getattr(_cols, "buf", None)
+        if buf is None or buf.size < win.size:
+            buf = _cols.buf = np.empty(win.size)
+        cols = buf[:win.size].reshape(win.shape)
+        np.copyto(cols, win)
+        yield lo, hi, cols.reshape(cin * 9, -1)
 
 
 def _pad(a: np.ndarray, p: int) -> np.ndarray:
@@ -311,7 +333,9 @@ def conv3x3(x: Node, w: Node, pad: int = 1) -> Node:
     space and transposed in channels; the weight gradient sums
     g_chunk (Cout, Bc*Ho*Wo) @ cols_chunk^T over chunks, padding x again
     and rebuilding each chunk's patch matrix rather than keeping either from
-    the forward pass.
+    the forward pass.  Every path draws its patch matrices from _patches,
+    which reuses one buffer per thread, and finishes each chunk's GEMM
+    before drawing the next, so threads may run convs at the same time.
     """
     xv, wv = x.value, w.value
     if xv.ndim != 4 or wv.ndim != 4 or wv.shape[2:] != (3, 3):

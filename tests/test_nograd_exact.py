@@ -11,10 +11,17 @@ need a gradient, on ties, at B=1 and on non-contiguous views.
 Frozen too are the backward walk that kept every node's gradient and
 closures until it ended, and conv3x3 keeping its padded input for the
 weight gradient: a training graph must get the same parameter gradients
-from the walk that releases each node as it goes.
+from the walk that releases each node as it goes.  That conv3x3, like the
+frozen correlation beside it, builds every chunk's patch matrix in a fresh
+array, so conv3x3 reusing one buffer per thread must match it bit for bit,
+with two threads convolving at once too.
 """
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -129,20 +136,31 @@ def frozen_leaky_relu_node(a):
     return ad.Node(value, [(a, vjp)])
 
 
+def frozen_corr(xp, w):
+    b, _, h, wd = xp.shape
+    cout = w.shape[0]
+    wm = w.reshape(cout, -1)
+    out = np.empty((b, cout, h - 2, wd - 2))
+    for lo, hi, cols in frozen_patches(xp):
+        out[lo:hi] = (wm @ cols).reshape(cout, hi - lo, h - 2, wd - 2) \
+            .transpose(1, 0, 2, 3)
+    return out
+
+
 def frozen_conv3x3(x, w, pad=1):
     xv, wv = x.value, w.value
     xp = ad._pad(xv, pad)
     cin = xp.shape[1]
-    value = ad._corr(xp, wv)
+    value = frozen_corr(xp, wv)
 
     def vjp_x(g):
         flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return ad._corr(ad._pad(g, 2 - pad), flipped)
+        return frozen_corr(ad._pad(g, 2 - pad), flipped)
 
     def vjp_w(g):
         cout = wv.shape[0]
         gw = np.zeros((cout, cin * 9))
-        for lo, hi, cols in ad._patches(xp):
+        for lo, hi, cols in frozen_patches(xp):
             gw += g[lo:hi].transpose(1, 0, 2, 3).reshape(cout, -1) @ cols.T
         return gw.reshape(wv.shape)
 
@@ -312,13 +330,78 @@ def test_patches_match_sliding_window_view(b, cin, h, w, chunk, data):
     if chunk is not None:  # force chunks of that many samples
         ad._COLS_BYTES = chunk * cin * 9 * (h - 2) * (w - 2) * 8
     try:
-        got = list(ad._patches(xp))
         want = list(frozen_patches(xp))
+        got = []
+        # a chunk's matrix is valid only until the next one is drawn
+        for lo, hi, cols in ad._patches(xp):
+            got.append((lo, hi))
+            assert len(got) <= len(want)
+            assert_bits(cols, want[len(got) - 1][2])
     finally:
         ad._COLS_BYTES = keep
-    assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
-    for (_, _, cols), (_, _, ref) in zip(got, want):
-        assert_bits(cols, ref)
+    assert got == [(lo, hi) for lo, hi, _ in want]
+
+
+def conv_and_grads(conv, x, w, g, pad):
+    """conv's value, input gradient and weight gradient for upstream g."""
+    out = conv(ad.param(x), ad.param(w), pad)
+    (_, vjp_x), (_, vjp_w) = out.parents
+    return out.value, vjp_x(g), vjp_w(g)
+
+
+def conv_case(seed, b, cin, n, pad=1, cout=4):
+    """Input, weights and upstream gradient of a (b, cin, n, n) conv."""
+    rng = np.random.default_rng(seed)
+    out = n + 2 * pad - 2
+    return (rng.normal(size=(b, cin, n, n)),
+            rng.normal(size=(cout, cin, 3, 3)),
+            rng.normal(size=(b, cout, out, out)))
+
+
+def many_chunks(seed, cin, n, pad=1):
+    """A conv whose forward batch spans 2.5 patch-matrix chunks."""
+    out = n + 2 * pad - 2
+    step = ad._COLS_BYTES // (cin * 9 * out * out * 8)
+    case = conv_case(seed, 2 * step + step // 2, cin, n, pad)
+    sizes = [hi - lo for lo, hi, _ in frozen_patches(ad._pad(case[0], pad))]
+    assert len(sizes) == 3 and sizes[-1] < step
+    return case
+
+
+def one_sample_over_cap(seed, cin, pad):
+    """A conv of two samples, each with a matrix over _COLS_BYTES."""
+    out = math.isqrt(ad._COLS_BYTES // (cin * 9 * 8)) + 1
+    case = conv_case(seed, 2, cin, out + 2 - 2 * pad, pad)
+    assert cin * 9 * out * out * 8 > ad._COLS_BYTES
+    return case
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("make", [
+    lambda pad: many_chunks(1, 3, 24, pad),
+    lambda pad: one_sample_over_cap(1, 8, pad),
+], ids=["many_chunks", "one_sample_over_cap"])
+def test_conv3x3_matches_the_allocating_path(make, pad):
+    x, w, g = make(pad)
+    for got, want in zip(conv_and_grads(ad.conv3x3, x, w, g, pad),
+                         conv_and_grads(frozen_conv3x3, x, w, g, pad)):
+        assert_bits(got, want)
+    assert ad._cols.buf.nbytes <= ad._COLS_BYTES
+
+
+def test_two_threads_convolve_at_once_with_serial_bits():
+    cases = [many_chunks(2, 3, 24), many_chunks(3, 5, 20)]
+    want = [conv_and_grads(ad.conv3x3, *case, 1) for case in cases]
+
+    def rounds(case):
+        return [conv_and_grads(ad.conv3x3, *case, 1) for _ in range(20)]
+
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(rounds, cases))
+    for runs, ref in zip(got, want):
+        for run in runs:
+            for a, r in zip(run, ref):
+                assert_bits(a, r)
 
 
 def test_valid_conv_of_a_strided_view_matches_a_copy():
