@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plans
-from .histograms import (HistogramConfig, RawImage, assemble_feature_stack,
-                         pixel_uv, unit_illuminant)
+from .histograms import (EmptyHistogramError, HistogramConfig, RawImage,
+                         assemble_feature_stack, pixel_uv, unit_illuminant)
 from .hypernet import NetworkWeights, _check_grid, infer_from_stacks
 
 __all__ = [
@@ -47,14 +47,20 @@ def score_plan(plan, stacks, illuminants, weights: NetworkWeights) -> list:
     """Angular error of each query of a plan, in plan order.
 
     plan holds (query id, additional ids) pairs that index the channel-first
-    stacks and their true illuminants; each query is one infer_from_stacks
-    call on the query and its additional stacks, as many as it names.
+    stacks and their true illuminants.  Each distinct query, a query id with
+    a set of additional ids, is one infer_from_stacks call on the query and
+    the stacks it names; a later entry with the same key reuses that error.
+    The key is a set because branches meet only in maxima: the order of the
+    additional stacks changes no bit of the estimate.
     """
-    errors = []
+    errors, seen = [], {}
     for q, extra in plan:
-        ell, _, _ = infer_from_stacks(stacks[q], [stacks[i] for i in extra],
-                                      weights)
-        errors.append(angular_error(ell, illuminants[q]))
+        key = (q, frozenset(extra))
+        if key not in seen:
+            ell, _, _ = infer_from_stacks(stacks[q],
+                                          [stacks[i] for i in extra], weights)
+            seen[key] = angular_error(ell, illuminants[q])
+        errors.append(seen[key])
     return errors
 
 
@@ -132,11 +138,11 @@ def gray_world(image: RawImage) -> np.ndarray:
     """Baseline estimate: unit-normalized mean of the valid pixels."""
     pix = image.pixels[image.mask]
     if pix.size == 0:
-        raise ValueError("no valid pixels")
+        raise EmptyHistogramError("no valid pixels")
     est = pix.mean(axis=0)
     norm = np.linalg.norm(est)
     if norm == 0:
-        raise ValueError("all valid pixels are black")
+        raise EmptyHistogramError("all valid pixels are black")
     return est / norm
 
 
@@ -155,14 +161,17 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     """Score an estimator on labeled samples under an additional-image
     policy, repeated with fresh draws.
 
-    Each repeat draws its whole plan first, one plans.draw per sample in
-    sample order, then scores it.  estimator defaults to the network
-    (weights + histograms, through score_plan); a substitute
-    takes (query RawImage, list of the distinct additional RawImages, not
-    padded to m-1, as c5_infer takes them) and returns an illuminant
-    estimate.  "none" draws no additional image: the network runs on the
-    query alone.  config must describe the network's grid, size arch.n;
-    it is kept only until the benchmark's next revision.
+    Every repeat's plan is drawn first, one plans.draw per sample in sample
+    order, repeat after repeat.  estimator defaults to the network (weights
+    + histograms): score_plan scores all repeats as one plan, so a repeat
+    that draws a query's additional set again, in any order, costs nothing,
+    and "none", which draws no additional image and runs the network on the
+    query alone, runs each query once.  A substitute estimator is called
+    once per query per repeat (it need not be deterministic); it takes
+    (query RawImage, list of the distinct additional RawImages, not padded
+    to m-1, as c5_infer takes them) and returns an illuminant estimate.
+    config must describe the network's grid, size arch.n; it is kept only
+    until the benchmark's next revision.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r} (choose from {POLICIES})")
@@ -177,25 +186,23 @@ def run_eval(weights: NetworkWeights, samples, policy: str = "random",
     pools = plans.eval_pools([s.camera for s in samples], policy, scores,
                              VIVID_POOL)
 
+    k, n = weights.arch.m - 1, len(samples)
+    draws = [[(i, plans.draw(pool, k, rng)) for i, pool in enumerate(pools)]
+             for _ in range(repeats)]
     if estimator is None:
         _check_grid(config, weights.arch)
         grid = HistogramConfig(n=weights.arch.n)
         stacks = [assemble_feature_stack(s.image, grid).channel_first()
                   for s in samples]
-        truth = [s.illuminant for s in samples]
-
-    runs = []
-    for _ in range(repeats):
-        plan = [(i, plans.draw(pool, weights.arch.m - 1, rng))
-                for i, pool in enumerate(pools)]
-        if estimator is None:
-            errors = score_plan(plan, stacks, truth, weights)
-        else:
-            errors = [angular_error(
-                estimator(samples[q].image, [samples[j].image for j in extra]),
-                samples[q].illuminant) for q, extra in plan]
-        runs.append(eval_stats(errors))
-    return EvalReport.from_runs(runs)
+        flat = score_plan([entry for plan in draws for entry in plan], stacks,
+                          [s.illuminant for s in samples], weights)
+        runs = [flat[r * n:(r + 1) * n] for r in range(repeats)]
+    else:
+        runs = [[angular_error(estimator(samples[q].image,
+                                         [samples[j].image for j in extra]),
+                               samples[q].illuminant) for q, extra in plan]
+                for plan in draws]
+    return EvalReport.from_runs(eval_stats(errors) for errors in runs)
 
 
 def format_report(report: EvalReport) -> str:

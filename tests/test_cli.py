@@ -162,6 +162,20 @@ def test_eval_cross_camera_policy(workspace, capsys):
     capsys.readouterr()
 
 
+def test_eval_rejects_a_black_image_as_a_data_error(workspace, tmp_path,
+                                                   capsys):
+    manifest = load_dataset(workspace["alpha"] / "manifest.jsonl")
+    dark = tmp_path / "dark.pfm"
+    write_pfm(dark, np.zeros((12, 16, 3)))
+    manifest.samples[0].image_path = str(dark)
+    path = tmp_path / "dark.jsonl"
+    write_manifest(manifest, path)
+    for estimator in ("network", "gray-world"):
+        assert main(["eval", str(workspace["weights"]), str(path),
+                     "--repeats", "1", "--estimator", estimator]) == 2
+        assert "data error" in capsys.readouterr().err
+
+
 def test_gradcheck_passes_at_default_tolerance(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     assert "gradient check passed" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromacc import evaluation, plans
+from chromacc import evaluation, hypernet, plans
 from chromacc.evaluation import (EvalReport, EvalSample, EvalStats,
                                  angular_error, chroma_variance, eval_stats,
                                  format_report, gray_world, run_eval)
@@ -229,28 +229,65 @@ def test_network_eval_deterministic_and_single_image_mode():
     assert report.runs[0] == eval_stats(errors)
 
 
+def _mixed_sample_set():
+    """cam0 has 5 images and cam1 has 3: at m=3 a cam1 query's same-camera
+    pool is m-1 images, so every random draw returns it in some order."""
+    return _sample_set(cameras=1, per_camera=5) + [
+        EvalSample(_tagged_image(1, i), s.illuminant, camera="cam1")
+        for i, s in enumerate(_sample_set(cameras=1, per_camera=3))]
+
+
 def test_run_eval_calls_infer_once_per_query(monkeypatch):
-    # the benchmark times each query by hooking evaluation.infer_from_stacks
-    samples = _sample_set()
-    real, calls = evaluation.infer_from_stacks, []
+    # every network inference goes through evaluation.infer_from_stacks,
+    # which the benchmark hooks to time it, once per distinct (query, set of
+    # additional ids) among the drawn plans
+    samples = _mixed_sample_set()
+    weights = _tiny_weights(m=3)
+    real_infer, real_draw = evaluation.infer_from_stacks, plans.draw
+    real_forward = hypernet.forward_maps
+    calls, drawn, forwards = [], [], []
 
     def counted(query, extra, weights):
         calls.append(len(extra))
-        return real(query, extra, weights)
+        return real_infer(query, extra, weights)
+
+    def recorded(pool, k, rng):
+        drawn.append(real_draw(pool, k, rng))
+        return drawn[-1]
+
+    def forward(*args, **kwargs):
+        forwards.append(1)
+        return real_forward(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "infer_from_stacks", counted)
-    run_eval(_tiny_weights(), samples, policy="random", repeats=3, rng=0)
-    assert calls == [2] * (3 * len(samples))   # m - 1 additional each
-    calls.clear()
-    run_eval(_tiny_weights(), samples, policy="none", repeats=2, rng=0)
-    assert calls == [0] * (2 * len(samples))
+    monkeypatch.setattr(plans, "draw", recorded)
+    monkeypatch.setattr(hypernet, "forward_maps", forward)
+    for policy, repeats in (("random", 4), ("vivid", 3), ("dull", 3),
+                            ("cross-camera", 2), ("none", 3)):
+        for log in (calls, drawn, forwards):
+            log.clear()
+        run_eval(weights, samples, policy=policy, repeats=repeats, rng=0)
+        assert len(drawn) == repeats * len(samples)
+        keys = {(i % len(samples), frozenset(ids))
+                for i, ids in enumerate(drawn)}
+        assert len(calls) == len(keys) == len(forwards), policy
+        if policy in ("random", "vivid", "dull"):
+            # cam1's queries (ids 5-7) draw their whole pool every repeat
+            assert sum(q >= 5 for q, _ in keys) == 3, policy
+    # "none" runs each query once, whatever the number of repeats
+    for repeats in (1, 2, 10):
+        calls.clear()
+        run_eval(weights, samples, policy="none", repeats=repeats, rng=0)
+        assert calls == [0] * len(samples)
 
 
-def _interleaved_runs(weights, samples, repeats, rng):
+def _interleaved_runs(weights, samples, policy, repeats, rng):
     """run_eval's network path as it was when each query's draw and
-    inference alternated in one loop, for the random policy."""
+    inference alternated in one loop, with no reuse across repeats."""
     rng = np.random.default_rng(rng)
-    pools = plans.eval_pools([s.camera for s in samples], "random")
+    scores = [chroma_variance(s.image) for s in samples]
+    pools = plans.eval_pools([s.camera for s in samples], policy, scores,
+                             evaluation.VIVID_POOL)
     grid = HistogramConfig(n=weights.arch.n)
     stacks = [assemble_feature_stack(s.image, grid).channel_first()
               for s in samples]
@@ -267,10 +304,12 @@ def _interleaved_runs(weights, samples, repeats, rng):
 
 
 def test_run_eval_matches_the_interleaved_loop():
-    samples = _sample_set(cameras=2, per_camera=5)
+    samples = _mixed_sample_set()
     weights = _tiny_weights(m=3)
-    report = run_eval(weights, samples, policy="random", repeats=3, rng=4)
-    assert list(report.runs) == _interleaved_runs(weights, samples, 3, 4)
+    for policy in evaluation.POLICIES:
+        report = run_eval(weights, samples, policy=policy, repeats=3, rng=4)
+        assert list(report.runs) == _interleaved_runs(weights, samples,
+                                                      policy, 3, 4), policy
 
 
 def test_score_plan_in_plan_order():

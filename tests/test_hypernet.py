@@ -114,6 +114,36 @@ def test_branch_permutation_bit_invariant():
             assert np.array_equal(got[name].value, ref[name].value)
 
 
+@given(n=st.sampled_from([16, 32]), depth=st.integers(2, 3),
+       data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_infer_ignores_order_and_repeats_of_additional_stacks(n, depth,
+                                                             data):
+    # evaluation scores a query once per set of additional ids; that rests
+    # on this.  At n=32, 4+ additional stacks put level 1's rows into more
+    # than one _patches chunk.
+    arch = hn.ArchitectureConfig(n=n, m=9, depth=depth, base_channels=2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    w = hn.init_weights(arch, rng)
+    k = data.draw(st.integers(4 if n == 32 else 1, arch.m - 1))
+    q, extra = rng.random((4, n, n)), list(rng.random((k, 4, n, n)))
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in
+                   [(a[0], b[0]), (a[1].bias, b[1].bias),
+                    (a[1].filters, b[1].filters), (a[2], b[2])])
+
+    perm = data.draw(st.permutations(range(k)))
+    assert same(hn.infer_from_stacks(q, extra, w),
+                hn.infer_from_stacks(q, [extra[i] for i in perm], w))
+    # one stack repeated, within m-1 branches
+    few = extra[:arch.m - 2]
+    dup = data.draw(st.integers(0, len(few) - 1))
+    at = data.draw(st.integers(0, len(few)))
+    assert same(hn.infer_from_stacks(q, few, w),
+                hn.infer_from_stacks(q, few[:at] + [few[dup]] + few[at:], w))
+
+
 def test_identical_branches_match_single_branch():
     rng = np.random.default_rng(4)
     w = tiny_weights(5)
