@@ -19,15 +19,15 @@ pixels *= rng.uniform(0.5, 1.0, size=(64, 64, 1))  # shading, chroma-neutral
 image = RawImage(pixels)
 
 stack = assemble_feature_stack(image, cfg)
-print("feature stack:", stack.data.shape)  # (n, n, 4)
-print("pixel histogram sums to", stack.data[..., 0].sum())
-print("gradient histogram sums to", stack.data[..., 1].sum())
+print("feature stack:", stack.data.shape)  # (4, n, n), channel-first
+print("pixel histogram sums to", stack.data[0].sum())
+print("gradient histogram sums to", stack.data[1].sum())
 
 # channels 2 and 3 are the bin-center coordinate planes the decoder uses to
 # read out positions
 centers = cfg.centers()
 print("u plane row 0 == bin centers:",
-      np.array_equal(stack.data[0, :, 2], centers))
+      np.array_equal(stack.data[2, 0], centers))
 
 # now "change the illuminant": gains aligned to whole bins move every
 # pixel's bin assignment by exactly that many bins.  (The brightness
@@ -38,8 +38,8 @@ gain = np.exp(-shift * cfg.bin_width)
 tinted = RawImage(pixels * np.array([gain, 1.0, 1.0]))  # shifts u only
 shifted = assemble_feature_stack(tinted, cfg)
 
-orig = stack.data[..., 0] > 0
-moved = shifted.data[..., 0] > 0
+orig = stack.data[0] > 0
+moved = shifted.data[0] > 0
 # u grows along columns, so the support moves right by `shift` columns
 aligned = np.zeros_like(orig)
 aligned[:, shift:] = orig[:, :-shift]

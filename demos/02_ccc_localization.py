@@ -30,7 +30,7 @@ stack = assemble_feature_stack(image, cfg)
 # Convolution with the flipped template (the flip is about the kernel
 # anchor n//2, hence the one-bin roll) is cross-correlation.
 neutral = assemble_feature_stack(RawImage(pixels), cfg)
-template = neutral.data[..., 0]
+template = neutral.data[0]
 flt = np.roll(template[::-1, ::-1], (1, 1), axis=(0, 1)) * 40.0
 params = CCCParams(bias=np.zeros((64, 64)),
                    filters=np.stack([flt, np.zeros_like(flt)]))

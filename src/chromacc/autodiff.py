@@ -174,14 +174,7 @@ def select_branch(a: Node, m: int, index: int = 0) -> Node:
     bm = a.value.shape[0]
     if bm % m:
         raise ValueError(f"leading axis {bm} not divisible by m={m}")
-    value = a.value[index::m]
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[index::m] = g
-        return out
-
-    return Node(value, [(a, vjp)])
+    return take_rows(a, np.arange(index, bm, m))
 
 
 def take_rows(a: Node, idx) -> Node:

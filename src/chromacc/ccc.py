@@ -141,7 +141,7 @@ def estimate_illuminant(stack, params: CCCParams):
     softmax(bias + [gain *] sum_i conv(N_i, F_i))) on the grid of size
     params.n.
 
-    stack may be a ChromaHistogram or a channel-first (4, n, n) array; only
+    stack may be a ChromaHistogram or its (4, n, n) array; only
     channels 0-1 (the two histograms) are convolved.
     """
     hists = _stack_array(stack, params.n)[None, :2]

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericalError
-from .datasets import (DataError, DatasetManifest, LabeledSample,
-                       load_dataset, read_raw_image, write_manifest)
+from .datasets import (WORKING_RES, DataError, DatasetManifest,
+                       LabeledSample, load_dataset, read_raw_image,
+                       write_manifest)
 from .evaluation import (POLICIES, EvalSample, format_report, gray_world,
                          run_eval)
 from .floatmap import write_pfm
@@ -118,8 +119,9 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     weights = load_weights(args.weights)
-    query = read_raw_image(args.query, args.mask)
-    additional = [read_raw_image(p) for p in args.additional]
+    query = read_raw_image(args.query, args.mask, WORKING_RES)
+    additional = [read_raw_image(p, working_res=WORKING_RES)
+                  for p in args.additional]
     with warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always")
         ell, params, heat = c5_infer(query, additional, weights)

@@ -145,8 +145,8 @@ class RawImage:
 
 @dataclass
 class ChromaHistogram:
-    """Feature stack over the (u, v) grid, shape (n, n, 4); its shape
-    fixes the grid.
+    """Feature stack over the (u, v) grid, shape (4, n, n) channel-first;
+    its shape fixes the grid.
 
     Channels: 0 pixel histogram, 1 gradient histogram, 2 u-coordinate plane
     (constant along rows), 3 v-coordinate plane (constant along columns).
@@ -157,19 +157,18 @@ class ChromaHistogram:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
         shape = self.data.shape
-        if len(shape) != 3 or shape[1:] != (shape[0], 4):
-            raise ValueError(f"expected (n, n, 4), got {shape}")
+        if len(shape) != 3 or shape != (4, shape[1], shape[1]):
+            raise ValueError(f"expected (4, n, n), got {shape}")
 
     def channel_first(self) -> np.ndarray:
-        """(4, n, n) view for channel-first consumers."""
-        return np.ascontiguousarray(self.data.transpose(2, 0, 1))
+        """The stored (4, n, n) stack itself, not a copy."""
+        return self.data
 
 
 def _stack_array(stack, n: int) -> np.ndarray:
-    """(4, n, n) channel-first float64 array of a feature stack given as a
-    ChromaHistogram or a channel-first (4, n, n) array.  A bare array is
-    always read channel-first: at n = 4 the two layouts share a shape."""
-    arr = stack.channel_first() if isinstance(stack, ChromaHistogram) \
+    """(4, n, n) float64 array of a feature stack given as a ChromaHistogram
+    or as its (4, n, n) array."""
+    arr = stack.data if isinstance(stack, ChromaHistogram) \
         else np.asarray(stack, dtype=np.float64)
     if arr.shape != (4, n, n):
         raise ValueError(f"stack shape {arr.shape} does not fit n={n}")
@@ -265,14 +264,14 @@ def _select(a, keep) -> np.ndarray:
     return a.reshape(-1, 3) if keep.all() else a[keep]
 
 
-def _finish(hist, config: HistogramConfig, source: str,
+def _finish(hist, config: HistogramConfig, pixels: bool,
             normalize: bool = True) -> np.ndarray:
     """The (n, n) channel of a flat sum: an empty pixel channel raises
     EmptyHistogramError, an empty gradient channel stays all zero."""
     hist = hist.reshape(config.n, config.n)
     total = hist.sum()
     if total == 0.0:
-        if source == "pixels":
+        if pixels:
             raise EmptyHistogramError("no valid pixels to histogram")
         return hist
     if normalize:
@@ -281,47 +280,40 @@ def _finish(hist, config: HistogramConfig, source: str,
 
 
 def build_histogram(image: RawImage, config: HistogramConfig = HistogramConfig(),
-                    source: str = "pixels", normalize: bool = True) -> np.ndarray:
-    """Histogram one chroma channel of an image onto the (v, u) grid.
+                    *, normalize: bool = True) -> np.ndarray:
+    """Brightness-weighted pixel chroma histogram of an image on the (v, u)
+    grid, channel 0 of its feature stack.
 
-    source selects "pixels" (brightness-weighted pixel chroma) or
-    "gradients" (gradient-magnitude-weighted gradient chroma).  With
-    normalize the result sums to 1.  A pixel contributes iff it is masked-in,
-    its components are positive, and its (u, v) falls inside the half-open
-    domain.
-
-    Raises EmptyHistogramError when source == "pixels" and nothing survives;
-    an image with no valid gradients (e.g. constant) yields an all-zero
-    gradient histogram instead, since flatness is informative there.
+    With normalize the result sums to 1.  A pixel contributes iff it is
+    masked-in, its components are positive, and its (u, v) falls inside
+    the half-open domain.  Raises EmptyHistogramError when nothing
+    survives.
     """
-    if source not in ("pixels", "gradients"):
-        raise ValueError(f"unknown source {source!r}")
-    sums = _walk(image, config)
-    return _finish(sums[0 if source == "pixels" else 1], config, source,
-                   normalize)
+    return _finish(_walk(image, config)[0], config, True, normalize)
 
 
 def assemble_feature_stack(image: RawImage,
                            config: HistogramConfig = HistogramConfig()
                            ) -> ChromaHistogram:
     """Full 4-channel network input for one image, from one walk of it;
-    raises EmptyHistogramError as build_histogram does for the pixel
-    channel."""
+    raises EmptyHistogramError as build_histogram does.  An image with no
+    valid gradient (e.g. constant) has an all-zero gradient channel, since
+    flatness is informative there."""
     sums = _walk(image, config)
     data = _coordinate_planes(config)
-    data[:, :, 0] = _finish(sums[0], config, "pixels")
-    data[:, :, 1] = _finish(sums[1], config, "gradients")
+    data[0] = _finish(sums[0], config, True)
+    data[1] = _finish(sums[1], config, False)
     return ChromaHistogram(data)
 
 
 def _coordinate_planes(config: HistogramConfig) -> np.ndarray:
-    """(n, n, 4) feature stack with both histogram channels zero: the u and
+    """(4, n, n) feature stack with both histogram channels zero: the u and
     v coordinate planes alone."""
     n = config.n
-    data = np.zeros((n, n, 4), dtype=np.float64)
+    data = np.zeros((4, n, n), dtype=np.float64)
     c = config.centers()
-    data[:, :, 2] = c[None, :]   # u varies along columns
-    data[:, :, 3] = c[:, None]   # v varies along rows
+    data[2] = c[None, :]   # u varies along columns
+    data[3] = c[:, None]   # v varies along rows
     return data
 
 

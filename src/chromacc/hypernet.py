@@ -51,7 +51,7 @@ DECODER_OUT = {"bias": 1, "filters": 2, "gain": 1}
 MAGIC = b"CCWF"
 FORMAT_VERSION = 1
 # largest histogram size a weight file may claim: 16x the paper's 64, whose
-# (n, n, 4) float64 feature stack takes 32 MB
+# (4, n, n) float64 feature stack takes 32 MB
 MAX_N = 1024
 
 

@@ -342,12 +342,10 @@ def sample_illuminant(neighbor_r: np.ndarray, weights: np.ndarray,
 @dataclass(frozen=True)
 class AugmentTarget:
     """A target camera's profile and everything precomputed from its metas
-    by build: per-meta CCTs, normalized features, r chromaticities, and the
-    fitted chromaticity cubic."""
+    by build: the feature norms, each meta's normalized feature (from its
+    CCT), r chromaticities, and the fitted chromaticity cubic."""
 
     profile: CameraProfile
-    metas: list
-    temps: np.ndarray
     norms: FeatureNorms
     features: np.ndarray
     r_chroma: np.ndarray
@@ -366,7 +364,7 @@ class AugmentTarget:
         features = np.stack([capture_feature(m, q, norms)
                              for m, q in zip(metas, temps)])
         ills = np.stack([m.illuminant for m in metas])
-        return cls(profile, metas, temps, norms, features,
+        return cls(profile, norms, features,
                    rg_chromaticity(ills)[:, 0], fit_planckian_cubic(ills))
 
 

@@ -42,14 +42,17 @@ SOBEL_V = SOBEL_U.T.copy()
 
 NumericalError = ad.NumericalError
 
+# Adam's moment decay rates and denominator guard, at their published
+# values (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 5e-4
     lambda_f: float = 0.15
     lambda_b: float = 0.02
@@ -61,6 +64,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
         for name in ("lambda_f", "lambda_b", "lambda_g", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -123,7 +128,7 @@ def adam_step(weights: hn.NetworkWeights, grads: dict, state: AdamState,
     """One Adam update with decoupled weight decay, in place.  Updated
     weights are snapped to float32-representable values."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for k, w in weights.params.items():
@@ -134,7 +139,7 @@ def adam_step(weights: hn.NetworkWeights, grads: dict, state: AdamState,
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * g * g
         mhat = state.m[k] / c1
         vhat = state.v[k] / c2
-        step = lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        step = lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         weights.params[k] = _snap32(w - step - lr * cfg.weight_decay * w)
 
 

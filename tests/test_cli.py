@@ -7,6 +7,7 @@ from chromacc.autodiff import NumericalError
 from chromacc.cli import main
 from chromacc.datasets import DatasetManifest, load_dataset, write_manifest
 from chromacc.floatmap import read_pfm, write_pfm
+from chromacc.hypernet import c5_infer, load_weights
 from chromacc.sensor import make_synthetic_camera
 
 
@@ -113,6 +114,19 @@ def test_infer_drops_empty_additional_image(workspace, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert len(out.split()) == 3 and "nan" not in out
     assert "note:" in err and "prior" in err
+
+
+def test_infer_reads_images_at_the_working_resolution(workspace, capsys):
+    # the captures are 12x16; infer resizes them to WORKING_RES as eval's
+    # LabeledSample.load does, so it prints the estimate of the image that
+    # eval scores
+    samples = load_dataset(workspace["alpha"] / "manifest.jsonl").samples
+    weights = load_weights(workspace["weights"])
+    query, good = samples[:2]
+    assert main(["infer", str(workspace["weights"]), query.image_path,
+                 good.image_path]) == 0
+    ell = c5_infer(query.load(), [good.load()], weights)[0]
+    assert capsys.readouterr().out.split() == [f"{v:.8f}" for v in ell]
 
 
 def test_augment_builds_target_space_dataset(workspace):
@@ -410,6 +424,12 @@ def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, text):
     pytest.param("batch_sizes = 32,16\n", id="descending-batch-sizes"),
     pytest.param("lamda_f = 0.1\n", id="misspelled-key"),
     pytest.param("lr = 1e999\n", id="infinite-lr"),
+    pytest.param("lr = 0\n", id="zero-lr"),
+    pytest.param("lr = -0.01\n", id="negative-lr"),
+    # Adam's settings are constants of training, not keys
+    pytest.param("beta1 = 0.5\n", id="adam-beta1"),
+    pytest.param("beta2 = 0.5\n", id="adam-beta2"),
+    pytest.param("eps = 0.5\n", id="adam-eps"),
     pytest.param(b"epochs = 1  # \xff\n", id="not-utf8"),
 ])
 def test_malformed_config_exits_2(workspace, tmp_path, capsys, text):

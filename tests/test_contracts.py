@@ -86,8 +86,7 @@ def frozen_stratified_selection(temps, count, rng):
 
 
 FROZEN_TRAIN_KEYS = {
-    "epochs": int, "lr": float, "beta1": float, "beta2": float, "eps": float,
-    "weight_decay": float, "lambda_f": float, "lambda_b": float,
+    "epochs": int, "lr": float, "weight_decay": float, "lambda_f": float, "lambda_b": float,
     "lambda_g": float, "val_fraction": float, "seed": int,
 }
 
@@ -253,8 +252,7 @@ def config_texts(draw):
     floats = st.floats(1e-6, 0.5, allow_nan=False)
     values = {
         "epochs": draw(st.integers(0, 200)),
-        "lr": draw(floats), "beta1": draw(floats), "beta2": draw(floats),
-        "eps": draw(floats), "weight_decay": draw(floats),
+        "lr": draw(floats), "weight_decay": draw(floats),
         "lambda_f": draw(floats), "lambda_b": draw(floats),
         "lambda_g": draw(floats), "val_fraction": draw(st.floats(0.0, 0.9)),
         "seed": draw(st.integers(0, 2 ** 31)),
@@ -293,6 +291,12 @@ def test_parse_config_matches_frozen_builders(text):
     ("epochs = -1", "epochs"),
     ("batch_sizes = 32,16", "ascending"),
     ("lamda_f = 0.1", "unknown key"),
+    # Adam's settings are constants of training, not keys
+    ("beta1 = 0.9", "unknown key"),
+    ("beta2 = 0.999", "unknown key"),
+    ("eps = 1e-8", "unknown key"),
+    ("lr = 0", "lr must be > 0"),
+    ("lr = -0.01", "lr must be > 0"),
     ("lr = 1e999", "cannot read"),
     ("lr = nan", "cannot read"),
     ("emit_gain = maybe", "cannot read"),

@@ -96,7 +96,7 @@ def test_two_pixel_fixture():
     # pixel A: (0.5, 1, 0.25) -> (u, v) = (log 2, log 4), w = sqrt(1.3125)
     # pixel B: gray (0.2, 0.2, 0.2) -> (0, 0) bin (32, 32), w = 0.2*sqrt(3)
     img = RawImage(np.array([[[0.5, 1.0, 0.25], [0.2, 0.2, 0.2]]]))
-    hist = build_histogram(img, CFG, source="pixels")
+    hist = build_histogram(img, CFG)
     iu = CFG.bin_index(math.log(2.0))
     iv = CFG.bin_index(math.log(4.0))
     wa = math.sqrt(0.5**2 + 1.0**2 + 0.25**2)
@@ -110,10 +110,10 @@ def test_two_pixel_fixture():
 def test_uniform_gray_image():
     img = RawImage(np.full((8, 6, 3), 0.5))
     stack = assemble_feature_stack(img, CFG)
-    pix = stack.data[:, :, 0]
+    pix = stack.data[0]
     assert pix[32, 32] == 1.0
     assert np.count_nonzero(pix) == 1
-    assert np.all(stack.data[:, :, 1] == 0.0)  # no gradients anywhere
+    assert np.all(stack.data[1] == 0.0)  # no gradients anywhere
 
 
 def test_masked_pixels_excluded():
@@ -129,18 +129,18 @@ def test_masked_pixels_excluded():
 def test_all_masked_raises():
     img = RawImage(np.ones((4, 4, 3)), np.zeros((4, 4), dtype=bool))
     with pytest.raises(EmptyHistogramError):
-        build_histogram(img, CFG, source="pixels")
+        build_histogram(img, CFG)
 
 
 def test_zero_pixels_raise():
     img = RawImage(np.zeros((4, 4, 3)))
     with pytest.raises(EmptyHistogramError):
-        build_histogram(img, CFG, source="pixels")
+        build_histogram(img, CFG)
 
 
 def test_constant_image_gradient_histogram_all_zero():
     img = RawImage(np.full((6, 6, 3), 0.25))
-    grad = build_histogram(img, CFG, source="gradients")
+    grad = assemble_feature_stack(img, CFG).data[1]
     assert grad.shape == (64, 64)
     assert np.all(grad == 0.0)
 
@@ -153,12 +153,12 @@ def test_gradient_histogram_two_region_fixture():
     px = np.empty((4, 6, 3))
     px[:, :3] = (0.2, 0.4, 0.2)
     px[:, 3:] = (0.4, 0.4, 0.8)
-    grad = build_histogram(RawImage(px), CFG, source="gradients")
+    grad = assemble_feature_stack(RawImage(px), CFG).data[1]
     assert np.all(grad == 0.0)
 
     # Make g vary too: now seam pixels have strictly positive triplets.
     px[:, 3:] = (0.4, 0.8, 0.8)
-    grad = build_histogram(RawImage(px), CFG, source="gradients")
+    grad = assemble_feature_stack(RawImage(px), CFG).data[1]
     mr, mg, mb = math.log(2.0), math.log(2.0), math.log(4.0)
     iu = CFG.bin_index(math.log(mg / mr))
     iv = CFG.bin_index(math.log(mg / mb))
@@ -193,8 +193,8 @@ def test_histogram_channels_normalized():
     img = RawImage(rng.uniform(0.02, 1.0, (16, 12, 3)))
     stack = assemble_feature_stack(img, CFG).data
     for ch in (0, 1):
-        assert np.all(stack[:, :, ch] >= 0.0)
-        assert stack[:, :, ch].sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(stack[ch] >= 0.0)
+        assert stack[ch].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coordinate_planes():
@@ -203,11 +203,11 @@ def test_coordinate_planes():
     eps = CFG.bin_width
     for i in range(64):
         want = -2.85 + (i + 0.5) * eps
-        np.testing.assert_allclose(stack[:, i, 2], want, rtol=0, atol=0)
-        np.testing.assert_allclose(stack[i, :, 3], want, rtol=0, atol=0)
+        np.testing.assert_allclose(stack[2, :, i], want, rtol=0, atol=0)
+        np.testing.assert_allclose(stack[3, i, :], want, rtol=0, atol=0)
     # channel 2 constant along v (rows), channel 3 constant along u (cols)
-    assert np.all(stack[:, :, 2] == stack[0:1, :, 2])
-    assert np.all(stack[:, :, 3] == stack[:, 0:1, 3])
+    assert np.all(stack[2] == stack[2, 0:1, :])
+    assert np.all(stack[3] == stack[3, :, 0:1])
 
 
 def test_translation_of_bin_assignments():
@@ -238,10 +238,10 @@ def test_translation_of_bin_assignments():
 def test_feature_stack_shape_and_wrapper():
     img = RawImage(np.full((5, 5, 3), 0.3))
     stack = assemble_feature_stack(img, HistogramConfig(n=32))
-    assert stack.data.shape == (32, 32, 4)
-    assert stack.channel_first().shape == (4, 32, 32)
-    # the grid is the stack's shape: square, four channels
-    for shape in ((16, 32, 4), (16, 16, 3), (16, 16)):
+    assert stack.data.shape == (4, 32, 32)
+    assert stack.channel_first() is stack.data
+    # the grid is the stack's shape: four channels first, then a square
+    for shape in ((4, 16, 32), (3, 16, 16), (16, 16), (32, 32, 4)):
         with pytest.raises(ValueError):
             ChromaHistogram(np.zeros(shape))
 
@@ -321,32 +321,34 @@ def _reference_histogram(image, config, source="pixels", normalize=True):
 
 def _reference_stack(image, config):
     n = config.n
-    data = np.zeros((n, n, 4), dtype=np.float64)
-    data[:, :, 0] = _reference_histogram(image, config, "pixels")
-    data[:, :, 1] = _reference_histogram(image, config, "gradients")
+    data = np.zeros((4, n, n), dtype=np.float64)
+    data[0] = _reference_histogram(image, config, "pixels")
+    data[1] = _reference_histogram(image, config, "gradients")
     c = config.centers()
-    data[:, :, 2] = c[None, :]
-    data[:, :, 3] = c[:, None]
+    data[2] = c[None, :]
+    data[3] = c[:, None]
     return data
 
 
 def _assert_matches_reference(img, cfg):
+    # the gradient channel's unnormalized sum, which a stack whose pixel
+    # channel is empty never reaches, is read off the walk
+    assert np.array_equal(
+        histograms._walk(img, cfg)[1].reshape(cfg.n, cfg.n),
+        _reference_histogram(img, cfg, "gradients", normalize=False))
     try:
         want = _reference_stack(img, cfg)
     except EmptyHistogramError:
         with pytest.raises(EmptyHistogramError):
             assemble_feature_stack(img, cfg)
         with pytest.raises(EmptyHistogramError):
-            build_histogram(img, cfg, source="pixels")
-        assert np.array_equal(build_histogram(img, cfg, source="gradients"),
-                              _reference_histogram(img, cfg, "gradients"))
+            build_histogram(img, cfg)
         return
     assert np.array_equal(assemble_feature_stack(img, cfg).data, want)
-    for source in ("pixels", "gradients"):
-        for normalize in (True, False):
-            assert np.array_equal(
-                build_histogram(img, cfg, source, normalize),
-                _reference_histogram(img, cfg, source, normalize))
+    for normalize in (True, False):
+        assert np.array_equal(
+            build_histogram(img, cfg, normalize=normalize),
+            _reference_histogram(img, cfg, "pixels", normalize))
 
 
 @given(h=st.integers(1, 12), w=st.integers(1, 12), n=st.sampled_from([2, 32, 64]),
@@ -449,5 +451,9 @@ def test_image_without_pixels(shape):
     img = RawImage(np.ones(shape))
     with pytest.raises(EmptyHistogramError):
         assemble_feature_stack(img, CFG)
-    assert np.array_equal(build_histogram(img, CFG, "gradients"),
+    assert np.array_equal(histograms._walk(img, CFG)[1].reshape(64, 64),
                           np.zeros((64, 64)))
+    # normalize is keyword-only: a positional "gradients" is no longer read
+    # as a channel name or as a normalize flag
+    with pytest.raises(TypeError):
+        build_histogram(img, CFG, "gradients")

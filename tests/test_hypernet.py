@@ -227,19 +227,21 @@ def test_stack_input_forms_equivalent():
     cfg = HistogramConfig(n=16)
     img = random_image(rng)
     hist_obj = assemble_feature_stack(img, cfg)          # ChromaHistogram
-    chan_first = hist_obj.channel_first()                # (4, n, n)
+    # the object, its stored (4, n, n) array and channel_first() are one
+    # stack
     outs = [hn.infer_from_stacks(s, [], w)[0]
-            for s in (hist_obj, chan_first)]
+            for s in (hist_obj, hist_obj.data, hist_obj.channel_first())]
     assert np.array_equal(outs[0], outs[1])
-    # a bare array is read channel-first only: (n, n, 4) is not a stack
+    assert np.array_equal(outs[0], outs[2])
+    # a channel-last (n, n, 4) array is not a stack
     with pytest.raises(ValueError, match="does not fit"):
-        hn.infer_from_stacks(hist_obj.data, [], w)
+        hn.infer_from_stacks(hist_obj.data.transpose(1, 2, 0), [], w)
 
 
 def test_channel_first_stack_at_n4_is_not_transposed():
-    # at n = 4 a channel-first stack has the (n, n, 4) shape too; it used
-    # to be taken for channel-last and transposed, in the network input of
-    # a channel-first query and in the head of every query
+    # at n = 4 a (4, n, n) stack is square along all three axes, so only
+    # the one layout keeps it from being read transposed, in the network
+    # input of a bare-array query and in the head of every query
     rng = np.random.default_rng(14)
     arch = hn.ArchitectureConfig(n=4, m=1, depth=1, base_channels=2)
     w = hn.init_weights(arch, rng)
@@ -307,7 +309,7 @@ def test_c5_infer_drops_empty_additional_images():
         heat, ad.softmax2d(ad.const(params.bias[None])).value[0])
     good_stack = assemble_feature_stack(good, HistogramConfig(n=16))
     planes = good_stack.data.copy()
-    planes[..., :2] = 0.0
+    planes[:2] = 0.0
     want = hn.infer_from_stacks(ChromaHistogram(planes),
                                 [good_stack], w)
     assert np.array_equal(ell, want[0])

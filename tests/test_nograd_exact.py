@@ -3,10 +3,12 @@
 Frozen below are the op definitions that the fast paths replaced: max_pool2
 through a reshaped window copy and argmax, leaky_relu through a multiplier
 array, instance_norm through np.var, the window view of _patches through
-sliding_window_view, and branch_max, take_rows and concat_channels doing
-their VJP set-up on every call.  Values and VJPs must match them bit for
-bit (signed zeros and NaN payloads included), for inputs that do and do not
-need a gradient, on ties, at B=1 and on non-contiguous views.
+sliding_window_view, branch_max, take_rows and concat_channels doing
+their VJP set-up on every call, and select_branch gathering its rows and
+scattering their gradient itself instead of through take_rows.  Values and
+VJPs must match them bit for bit (signed zeros and NaN payloads included),
+for inputs that do and do not need a gradient, on ties, at B=1 and on
+non-contiguous views.
 
 Frozen too are the backward walk that kept every node's gradient and
 closures until it ended, and conv3x3 keeping its padded input for the
@@ -78,6 +80,17 @@ def frozen_take_rows(a, idx):
     def vjp(g):
         out = np.zeros_like(a.value)
         out[rows] = np.add.reduceat(g[order], starts, axis=0)
+        return out
+
+    return value, [vjp]
+
+
+def frozen_select_branch(a, m, index):
+    value = a.value[index::m]
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[index::m] = g
         return out
 
     return value, [vjp]
@@ -280,6 +293,17 @@ def test_take_rows_matches_reduceat_path(r, data):
     x = draw_array(data, (r, 2, 3), FLOATS)
     check_op(lambda a: ad.take_rows(a, idx),
              lambda a: frozen_take_rows(a, idx), [x], data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), m=st.integers(1, 4),
+       tail=hnp.array_shapes(min_dims=0, max_dims=3, max_side=4),
+       data=st.data())
+def test_select_branch_matches_its_own_gather(b, m, tail, data):
+    index = data.draw(st.integers(0, m - 1), label="index")
+    x = draw_array(data, (b * m, *tail), st.one_of(TIES, FLOATS))
+    check_op(lambda a: ad.select_branch(a, m, index),
+             lambda a: frozen_select_branch(a, m, index), [x], data)
 
 
 @settings(max_examples=60, deadline=None)

@@ -143,6 +143,10 @@ def test_config_validation():
         tr.TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         tr.TrainConfig(val_fraction=1.0)
+    # a step of lr <= 0 (or NaN) does not descend
+    for lr in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="lr must be > 0"):
+            tr.TrainConfig(lr=lr)
 
 
 # ----- optimizer -----
@@ -171,7 +175,7 @@ def test_adam_first_step_closed_form():
     state = tr.AdamState.fresh(w.params)
     tr.adam_step(w, grads, state, cfg.lr, cfg)
     for k, g in grads.items():
-        expected = before[k] - cfg.lr * g / (np.abs(g) + cfg.eps)
+        expected = before[k] - cfg.lr * g / (np.abs(g) + tr.ADAM_EPS)
         assert np.allclose(w.params[k], expected, rtol=1e-5, atol=1e-10), k
 
 
