@@ -2,14 +2,18 @@
 
 Everything is float64.  A Node wraps one array value; ops build new Nodes
 and register, per parent, a vector-Jacobian closure mapping the upstream
-gradient to that parent's gradient contribution.  backward() walks the tape
-in reverse topological order and releases each interior node's gradient
-and closures as soon as they have been used, so a graph is walked backward
-once and a training step holds only what the rest of its walk reads.  A
-graph built on const leaves alone (the inference path) keeps no closures:
-each Node drops them as it is made, and ops skip the work only their VJP
-needs.  Graph construction is deterministic: the same inputs produce
-bit-identical values and gradients.
+gradient to that parent's gradient contribution.  The tape is kept apart
+from the values: a node's gradient and closures sit in a small tape entry,
+and a child points to its parents' entries, not to their Nodes, so an
+activation that no closure captured is freed as soon as the graph builder
+drops its Node.  backward() walks the entries in reverse topological order
+and releases each interior entry's gradient and closures as soon as they
+have been used, so a graph is walked backward once and a training step
+holds only what the rest of its walk reads.  A graph built on const leaves
+alone (the inference path) keeps no closures: a Node that no gradient
+reaches gets no entry, and ops skip the work only their VJP needs.  Graph
+construction is deterministic: the same inputs produce bit-identical
+values and gradients.
 
 The op set is exactly what the filter-generating network and its training
 loss require; this is not a general-purpose autodiff.
@@ -46,25 +50,76 @@ class MissingGradientError(RuntimeError):
     """Backward reached a differentiable path with no registered gradient."""
 
 
-class Node:
-    """One value on the tape.
+class _Tape:
+    """The tape entry of a node a gradient reaches: its gradient and its
+    parents, a tuple of (parent entry, vjp) pairs where vjp(g) returns the
+    gradient contribution to that parent given this node's gradient g.  It
+    holds no value, so a child that points to it keeps its parent's array
+    alive only if one of its VJPs captured the array."""
 
-    parents is a sequence of (parent_node, vjp) pairs; vjp(g) returns the
-    gradient contribution to that parent given this node's gradient g.  When
-    no parent needs a gradient the node keeps none of them, so the closures
-    and the arrays they capture are freed once the value exists.
+    __slots__ = ("grad", "parents")
+    needs_grad = True
+
+    def __init__(self, parents):
+        self.grad = None
+        self.parents = parents
+
+
+def _entry(node):
+    """What a child keeps of parent node: the tape entry of a node built by
+    an op, and anything else (a leaf, a value no gradient reaches, an
+    entry) itself."""
+    tape = getattr(node, "tape", None)
+    return tape if tape is not None and tape.parents else node
+
+
+class Node:
+    """One value and its tape entry.
+
+    grad, parents and needs_grad are the entry's.  A node that no gradient
+    reaches has no entry (tape is None) and keeps no parents, so the
+    closures and the arrays they capture are freed once the value exists.
+    Children point to an interior node's entry rather than to the node, so
+    its value is freed once the graph builder drops the node, unless a VJP
+    captured it; a leaf is its own entry.
     """
 
-    __slots__ = ("value", "grad", "parents", "needs_grad")
+    __slots__ = ("value", "tape")
 
     def __init__(self, value, parents=(), needs_grad=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
         parents = tuple(parents)
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p, _ in parents)
-        self.needs_grad = needs_grad
-        self.parents = parents if needs_grad else ()
+        self.tape = _Tape(tuple((_entry(p), vjp) for p, vjp in parents)) \
+            if needs_grad else None
+
+    @property
+    def needs_grad(self):
+        return self.tape is not None
+
+    @property
+    def grad(self):
+        return None if self.tape is None else self.tape.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.tape is not None:
+            self.tape.grad = g
+        elif g is not None:
+            raise ValueError("a node no gradient reaches takes no gradient")
+
+    @property
+    def parents(self):
+        return () if self.tape is None else self.tape.parents
+
+    @parents.setter
+    def parents(self, pairs):
+        pairs = tuple((_entry(p), vjp) for p, vjp in pairs)
+        if self.tape is not None:
+            self.tape.parents = pairs
+        elif pairs:
+            raise ValueError("a node no gradient reaches keeps no parents")
 
     @property
     def shape(self):
@@ -87,13 +142,16 @@ def param(value) -> Node:
 def backward(root: Node):
     """Accumulate droot/dleaf into .grad for every upstream needs_grad leaf.
 
-    Each interior node drops its grad and parents once its VJPs have run,
-    so a second backward on the same root adds nothing."""
+    The walk runs over tape entries.  Each interior entry drops its grad
+    and parents once its VJPs have run, so a second backward on the same
+    root adds nothing."""
     if root.value.size != 1:
         raise ValueError(f"backward needs a scalar root, got shape {root.shape}")
-    topo: list[Node] = []
+    if root.tape is None:
+        return  # no gradient reaches anything upstream
+    topo: list = []
     state: dict[int, int] = {}  # id -> 0 discovered, 1 finished
-    stack = [root]
+    stack = [root.tape]
     while stack:
         node = stack[-1]
         s = state.get(id(node))
@@ -109,7 +167,7 @@ def backward(root: Node):
         else:
             stack.pop()
 
-    root.grad = np.ones_like(root.value)
+    root.tape.grad = np.ones_like(root.value)
     while topo:
         node = topo.pop()
         if not node.parents:
@@ -199,9 +257,10 @@ def take_rows(a: Node, idx) -> Node:
     ranked = idx[order]
     starts = np.flatnonzero(np.diff(ranked, prepend=-1))
     rows = ranked[starts]
+    shape = a.value.shape  # the VJP keeps the shape, not the array
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros(shape)
         out[rows] = np.add.reduceat(g[order], starts, axis=0)
         return out
 
@@ -221,11 +280,12 @@ def branch_max(a: Node, m: int) -> Node:
     if not a.needs_grad:
         return Node(value)
     idx = grouped.argmax(axis=1)  # first max in branch order
+    shape = grouped.shape  # grouped is a view: keeping it keeps a.value
 
     def vjp(g):
-        out = np.zeros_like(grouped)
+        out = np.zeros(shape)
         np.put_along_axis(out, idx[:, None], g[:, None], axis=1)
-        return out.reshape(a.value.shape)
+        return out.reshape(bm, *shape[2:])
 
     return Node(value, [(a, vjp)])
 
@@ -652,25 +712,27 @@ def arccos(a: Node) -> Node:
 
 def sum_per_sample(a: Node) -> Node:
     """Sum everything but the leading axis: (B, ...) -> (B,)."""
-    axes = tuple(range(1, a.value.ndim))
+    shape = a.value.shape
+    axes = tuple(range(1, len(shape)))
     value = a.value.sum(axis=axes)
 
     def vjp(g):
-        return np.broadcast_to(g.reshape(g.shape + (1,) * (a.value.ndim - 1)),
-                               a.value.shape).copy()
+        return np.broadcast_to(g.reshape(g.shape + (1,) * len(axes)),
+                               shape).copy()
 
     return Node(value, [(a, vjp)])
 
 
 def sum_all(a: Node) -> Node:
+    shape = a.value.shape
     return Node(a.value.sum(),
-                [(a, lambda g: np.broadcast_to(g, a.value.shape).copy())])
+                [(a, lambda g: np.broadcast_to(g, shape).copy())])
 
 
 def mean_all(a: Node) -> Node:
-    k = 1.0 / a.value.size
+    shape, k = a.value.shape, 1.0 / a.value.size
     return Node(a.value.mean(),
-                [(a, lambda g: np.broadcast_to(g * k, a.value.shape).copy())])
+                [(a, lambda g: np.broadcast_to(g * k, shape).copy())])
 
 
 def _same_shape(a: Node, b: Node):

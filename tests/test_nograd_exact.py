@@ -20,6 +20,7 @@ with two threads convolving at once too.
 """
 
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -507,3 +508,110 @@ def test_backward_releases_the_graph_with_the_frozen_gradients(monkeypatch):
     ad.backward(loss)  # the graph is spent: a second walk adds nothing
     for name, leaf in pnodes.items():
         assert_bits(leaf.grad, kept[name])
+
+
+def test_an_activation_no_vjp_reads_dies_with_its_node():
+    # leaky_relu's VJP reads a mask and batch norm's reads xhat, so the
+    # conv and leaky outputs live only as long as their builder holds them
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(3, 2, 6, 6))
+    wv = rng.normal(size=(4, 2, 3, 3))
+    gv, bv = rng.uniform(0.5, 1.5, 4), rng.normal(size=4)
+
+    def chain(conv, leaky):
+        w, gamma, beta = ad.param(wv), ad.param(gv), ad.param(bv)
+        t = conv(ad.const(x), w)
+        u = leaky(t)
+        y = ad.batch_norm(u, gamma, beta, True)
+        return ad.mean_all(ad.mul(y, y)), [w, gamma, beta], t.value, u.value
+
+    ref, ref_leaves, _, _ = chain(frozen_conv3x3, frozen_leaky_relu_node)
+    frozen_backward(ref)
+    loss, leaves, conv_out, leaky_out = chain(ad.conv3x3, ad.leaky_relu)
+    dead = [weakref.ref(conv_out), weakref.ref(leaky_out)]
+    del conv_out, leaky_out
+    assert [r() is None for r in dead] == [True, True]
+    assert_bits(loss.value, ref.value)
+    ad.backward(loss)
+    for leaf, want in zip(leaves, ref_leaves):
+        assert_bits(leaf.grad, want.grad)
+
+
+# the ops a graph builder calls through the module
+BUILDER_OPS = ("add", "sub", "mul", "scale", "reshape", "concat_channels",
+               "take_rows", "branch_max", "conv3x3", "leaky_relu",
+               "batch_norm", "instance_norm", "max_pool2", "upsample2",
+               "softmax2d", "expectation2d", "ccc_conv", "uv_to_rgb", "dot",
+               "arccos", "sum_per_sample", "mean_all")
+
+
+def rewrap_every_op(mp, calls):
+    """Swap every op's VJPs for wrappers, as a tracer does: the op's output
+    gets node.parents = tuple((p, wrap(v)) for p, v in node.parents), on
+    outputs that need no gradient too."""
+    def wrap(vjp):
+        if vjp is None:
+            return None
+
+        def wrapped(g):
+            calls.append(1)
+            return vjp(g)
+
+        return wrapped
+
+    def rewrapped(op):
+        def run(*args, **kwargs):
+            node = op(*args, **kwargs)
+            node.parents = tuple((p, wrap(v)) for p, v in node.parents)
+            return node
+
+        return run
+
+    for name in BUILDER_OPS:
+        mp.setattr(ad, name, rewrapped(getattr(ad, name)))
+
+
+def test_rewrapped_parents_keep_values_and_gradients(monkeypatch):
+    rng = np.random.default_rng(29)
+    arch = hn.ArchitectureConfig(n=16, m=3, depth=2, base_channels=2,
+                                 emit_gain=True)
+    weights = hn.init_weights(arch, rng)
+    stacks = rng.random((2, 3, 4, 16, 16))
+    stacks[:, 2] = stacks[:, 1]  # a repeated branch image
+    targets = rng.uniform(0.2, 1.0, (2, 3))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    cfg = tr.TrainConfig(lambda_f=0.1, lambda_b=0.02, lambda_g=0.02)
+
+    def infer():
+        leaves = {k: ad.const(v) for k, v in weights.params.items()}
+        maps, prob, ell, _ = hn._predict(stacks[:1], weights, False, leaves)
+        return [maps[k] for k in sorted(maps)] + [prob, ell]
+
+    def step():
+        loss, pnodes, _ = tr.build_loss(stacks, targets, weights.copy(), cfg)
+        ad.backward(loss)
+        return loss, pnodes
+
+    want_infer, (want_loss, want_grads) = infer(), step()
+    calls = []
+    with monkeypatch.context() as mp:
+        rewrap_every_op(mp, calls)
+        got_infer = infer()
+        assert not calls
+        got_loss, got_grads = step()
+    assert calls  # backward ran the wrapped VJPs
+    for got, want in zip(got_infer, want_infer):
+        assert got.parents == () and not got.needs_grad
+        assert_bits(got.value, want.value)
+    assert_bits(got_loss.value, want_loss.value)
+    for name, leaf in want_grads.items():
+        assert_bits(got_grads[name].grad, leaf.grad)
+
+
+def test_setting_no_parents_on_a_leaf_changes_nothing():
+    c, p = ad.const(np.ones(3)), ad.param(np.arange(3.0))
+    for leaf in (c, p):
+        leaf.parents = ()
+    assert c.parents == p.parents == () and not c.needs_grad and p.needs_grad
+    ad.backward(ad.sum_all(ad.mul(c, p)))
+    assert_bits(p.grad, np.ones(3))

@@ -334,28 +334,43 @@ def test_single_sample_step_decreases_loss():
     assert float(after.value) < before
 
 
-def test_training_step_memory_stays_bounded():
-    # one step of the benchmark's network at B=16: backward frees each
-    # node's gradient and closures once its VJPs have run, where keeping
-    # them all to the end of the walk peaked at 119 MB against 67 MB
+def traced_step_peak(b):
+    """tracemalloc's peak over one build_loss + backward step of the
+    benchmark's network at batch size b."""
     rng = np.random.default_rng(19)
     arch = hn.ArchitectureConfig(n=32, m=9, depth=3, base_channels=8)
     w = hn.init_weights(arch, rng)
     # about a third of a batch's branch rows are distinct images, as in
     # the training benchmark's batches
-    pool = rng.random((48, 4, 32, 32))
-    stacks = pool[rng.integers(0, len(pool), (16, arch.m))]
-    targets = rng.uniform(0.2, 1.0, (16, 3))
+    pool = rng.random((3 * b, 4, 32, 32))
+    stacks = pool[rng.integers(0, len(pool), (b, arch.m))]
+    targets = rng.uniform(0.2, 1.0, (b, 3))
     targets /= np.linalg.norm(targets, axis=1, keepdims=True)
     cfg = tr.TrainConfig(lambda_f=1.5e-4, lambda_b=2e-5, lambda_g=2e-5)
     tracemalloc.start()
     try:
         loss, _, _ = tr.build_loss(stacks, targets, w, cfg)
         ad.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_training_step_memory_stays_bounded():
+    # at B=16: backward frees each node's gradient and closures once its
+    # VJPs have run, where keeping them all to the end of the walk peaked
+    # at 119 MB against 67 MB
+    peak = traced_step_peak(16)
     assert peak < 90e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_training_step_frees_activations_no_vjp_reads():
+    # at B=64 the peak falls at the end of the forward pass: a child that
+    # held its parent Node, value and all, kept every activation alive
+    # (211 MB); pointing to the parent's tape entry keeps only the arrays
+    # a VJP captured (105 MB)
+    peak = traced_step_peak(64)
+    assert peak < 120e6, f"traced peak {peak / 1e6:.1f} MB"
 
 # ----- validation split and full runs -----
 
